@@ -1,0 +1,179 @@
+"""Golden outputs of the CLI: stdout, every --out file and the exit code.
+
+Each case runs `cli.main` in-process and compares sha256 digests with the
+digests recorded from the code before the lattice operator, the input
+validators and the CLI configuration were consolidated.  The refactor
+promised byte-identical output, so any change in a digest is a behaviour
+change that must be explained, not a tolerance to widen.
+
+`{out}` in an argv is replaced by a path in a fresh directory; `evolve`
+with `--out X.csv` also writes `X.json`, which is digested as `out.json`.
+`{state}` is a state file written first by the `state_beta` case.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from starktree import cli
+
+# 10,240 RK4 steps of the default dt: above the spectrum's 1,024-sample
+# minimum and about a second per integration.
+T_END = ["--t-end", "31.41592653589793", "--stride", "8"]
+
+CASES = {
+    "count": ["count", "--x", "40.5"],
+    "tree_csv": ["tree", "--x-min", "0", "--x-max", "12", "--samples", "101",
+                 "--out", "{out}"],
+    "tree_json": ["tree", "--x-min", "0", "--x-max", "12", "--samples", "101",
+                  "--format", "json"],
+    "state_signs": ["state", "--set", "0,1,3", "--x", "7.5", "--signs=+-+"],
+    "state_beta": ["state", "--set", "0,1", "--x", "1.5", "--beta", "0.02",
+                   "--out", "{out}"],
+    "state_resonant": ["state", "--set", "0", "--x", "1.0", "--out", "{out}"],
+    "continue_ok": ["continue", "--set", "0,1,3", "--x", "7.5", "--beta", "0.02",
+                    "--steps", "10", "--out", "{out}"],
+    "continue_random": ["continue", "--set", "0,1,3", "--x", "7.5",
+                        "--beta", "0.02", "--signs=random", "--seed", "3"],
+    "continue_failed": ["continue", "--set=0,1,4,7", "--x", "20.37",
+                        "--beta", "0.02", "--steps", "10", "--out", "{out}"],
+    "continue_minus_signs": ["continue", "--set=0,1", "--x", "4.5",
+                             "--beta", "0.02", "--signs=--", "--out", "{out}"],
+    "evolve_beating": ["evolve", "--x", "1.5", *T_END, "--out", "{out}.csv"],
+    "evolve_hopping": ["evolve", "--set", "0,1", "--x", "1.5", "--beta", "0.01",
+                       *T_END, "--out", "{out}.csv"],
+    "evolve_nu_f": ["evolve", "--nu", "0.3", "--f", "0.2", *T_END],
+    "evolve_initial": ["evolve", "--initial", "{state}", *T_END,
+                       "--out", "{out}.csv"],
+}
+
+GOLDEN = {
+    "continue_failed": {
+        "rc": 4,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "512293d49583ab2cb595757cef0829f68428421ae04e304f67b0d26092d60039",
+    },
+    "continue_minus_signs": {
+        "rc": 2,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "continue_ok": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "21b6754a4e7d52b06232ee65c5955a3ecc8e5f46dd81ef8cb175cc38f67d67af",
+    },
+    "continue_random": {
+        "rc": 0,
+        "stdout":
+            "e76ab2e3e15e230368005da0ef2960c8f36aba7776e65adb07dd3abbf4a6caf3",
+    },
+    "count": {
+        "rc": 0,
+        "stdout":
+            "e62a23e91792316fdcf49f17e8a491acc3e815df77c3766d7d899a180e8c1846",
+    },
+    "evolve_beating": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "1ed4cb8e092e312c1cbb4151247558de7829a09fa0bc9fc16df21dafef1fc930",
+        "out.json":
+            "85d2973ef9606183762094c274efbb920db99a728530f39fe3027d1418a273e7",
+    },
+    "evolve_hopping": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "748b974effe76ffe9691ce1adb425334bd961caf77df574149986c91333b2007",
+        "out.json":
+            "56e06d5846d80302b982b4c9837a3356c1bc019789661533200991687cd2382e",
+    },
+    "evolve_initial": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "f50ed8d7079af252710b589bfdf09febb13a765a9073bd104112c32ad52594a6",
+        "out.json":
+            "beefb5fa0b771b26f58b8d8293a791243fbf458fe45eee21ff12309528c6783e",
+    },
+    "evolve_nu_f": {
+        "rc": 0,
+        "stdout":
+            "2a336b8b4d2079f4b659c0fbb86c3b41c43fc1f1dd8f0e9506b1191f71121ce1",
+    },
+    "state_beta": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "b4b6bf24901f0d64f99f4474ed5644ac2d358f18a873d8342f4d70d2b4dd6012",
+    },
+    "state_resonant": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "f372bfcf6975afb881f33e0b34b04f3afe17f95e50fceaf732b17ca8f3b80039",
+    },
+    "state_signs": {
+        "rc": 0,
+        "stdout":
+            "30ee432ac8d1e1390890713406f6dd3edb7a2e410aee5dc4db224ea66a0fac3f",
+    },
+    "tree_csv": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "0d13053f36f3a8034f3e9ce9633abecd2312bcd450dfe08e86fa4247681a2726",
+    },
+    "tree_json": {
+        "rc": 0,
+        "stdout":
+            "d82e7beb71fad8fbd805243fe28941e7c4fc2c6cee78a5f5ec229dda9ce32c97",
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(name: str, directory: Path) -> dict:
+    """Run one case; returns its exit code and the digests of its outputs."""
+    out = str(directory / name)
+    state = str(directory / "state_beta")
+    if "{state}" in CASES[name] and not Path(state).exists():
+        run_case("state_beta", directory)
+    argv = [a.replace("{out}", out).replace("{state}", state)
+            for a in CASES[name]]
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        rc = cli.main(argv)
+    record = {"rc": rc, "stdout": _sha(stdout.getvalue().encode("utf-8"))}
+    if argv[0] == "evolve":
+        paths = {"out": out + ".csv", "out.json": out + ".json"}
+    else:
+        paths = {"out": out}
+    for key, path in paths.items():
+        if Path(path).exists():
+            record[key] = _sha(Path(path).read_bytes())
+    return record
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden_digest(name, tmp_path):
+    assert run_case(name, tmp_path) == GOLDEN[name]
