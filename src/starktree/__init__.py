@@ -41,7 +41,6 @@ from .anticontinuum import (
 )
 from .continuation import (
     ContinuationResult,
-    RescaledProblem,
     continue_in_beta,
     dnls_residual,
     extended_jacobian,
@@ -73,7 +72,6 @@ __all__ = [
     "InadmissibleSetError",
     "IntegrationError",
     "LatticeParams",
-    "RescaledProblem",
     "ResonanceError",
     "SolutionSet",
     "SolverError",

@@ -12,12 +12,11 @@ states, and assembles the bifurcation tree of energies over nu/f.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InadmissibleSetError
+from .errors import ConfigurationError, DomainError, InadmissibleSetError, check_int
 from .partitions import enumerate_distinct_partitions
 
 # Margin giving finite-hopping tails below 1e-12 for the beta ranges the
@@ -28,13 +27,6 @@ DEFAULT_WINDOW_MARGIN = 5
 MIN_WINDOW_MARGIN = 2
 
 NORMALIZATION_TOL = 1e-12
-
-
-def _as_int(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -49,7 +41,7 @@ class SolutionSet:
     sites: tuple[int, ...]
 
     def __post_init__(self):
-        sites = tuple(_as_int(s, "site index") for s in self.sites)
+        sites = tuple(check_int(s, "site index") for s in self.sites)
         if not sites:
             raise DomainError("a solution set needs at least one site")
         if len(set(sites)) != len(sites):
@@ -94,7 +86,7 @@ class LatticeParams:
             raise DomainError(f"f must be finite and positive, got {self.f}")
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise DomainError(f"beta must be finite and non-negative, got {self.beta}")
-        lo, hi = (_as_int(v, "window bound") for v in self.window)
+        lo, hi = (check_int(v, "window bound") for v in self.window)
         if lo >= hi:
             raise ConfigurationError(f"window must satisfy lo < hi, got ({lo}, {hi})")
         object.__setattr__(self, "window", (lo, hi))
@@ -113,6 +105,17 @@ class LatticeParams:
     def window_size(self) -> int:
         lo, hi = self.window
         return hi - lo + 1
+
+    def hopping(self, c: np.ndarray) -> np.ndarray:
+        """Hopping term -beta (c_{l+1} + c_{l-1} + 2 c_l) of the lattice
+        operator, shared by the stationary and the time-dependent equation.
+
+        Dirichlet window ends: neighbours outside the window are zero.
+        """
+        hop = np.zeros_like(c)
+        hop[:-1] += c[1:]
+        hop[1:] += c[:-1]
+        return -self.beta * (hop + 2.0 * c)
 
     def covers(self, sset: SolutionSet, margin: int = MIN_WINDOW_MARGIN) -> bool:
         lo, hi = self.window
@@ -207,9 +210,7 @@ def energy_of_set(sset: SolutionSet, nu, f) -> float:
 
 def consecutive_threshold(n_modes) -> int:
     """Birth threshold N(N-1)/2 of the consecutive-site family {0,..,N-1}."""
-    n_modes = _as_int(n_modes, "mode count")
-    if n_modes < 1:
-        raise DomainError(f"mode count must be >= 1, got {n_modes}")
+    n_modes = check_int(n_modes, "mode count", 1)
     return n_modes * (n_modes - 1) // 2
 
 
@@ -285,7 +286,7 @@ def translate_state(state: StationaryState, j) -> StationaryState:
     The window stays fixed, so the shifted support (or, after continuation,
     essentially all of the state's mass) must still fit.
     """
-    j = _as_int(j, "translation")
+    j = check_int(j, "translation")
     if j == 0:
         return replace(state, coefficients=state.coefficients.copy())
     p = state.params
@@ -325,9 +326,7 @@ def enumerate_solution_sets(x, max_n: int = 64) -> list[SolutionSet]:
     x = float(x)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"ratio must be finite and positive, got {x}")
-    max_n = _as_int(max_n, "max_n")
-    if max_n < 1:
-        raise DomainError(f"max_n must be >= 1, got {max_n}")
+    max_n = check_int(max_n, "max_n", 1)
     top = math.ceil(x) - 1
     if top > max_n:
         raise DomainError(
@@ -357,9 +356,7 @@ def bifurcation_tree(x_min, x_max, samples: int = 1001,
         raise DomainError("grid bounds must be finite")
     if not 0 <= x_min < x_max:
         raise DomainError(f"need 0 <= x_min < x_max, got [{x_min}, {x_max}]")
-    samples = _as_int(samples, "samples")
-    if samples < 2:
-        raise DomainError(f"need at least 2 samples, got {samples}")
+    samples = check_int(samples, "samples", 2)
     base = np.linspace(x_min, x_max, samples)
     integers = np.arange(math.ceil(x_min), math.floor(x_max) + 1, dtype=float)
     grid = np.unique(np.concatenate([base, integers]))

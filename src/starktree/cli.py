@@ -17,14 +17,15 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics
 from .anticontinuum import (
+    DEFAULT_WINDOW_MARGIN,
     LatticeParams,
     SolutionSet,
+    StationaryState,
     bifurcation_tree,
     build_state,
 )
@@ -48,35 +49,6 @@ EXIT_IO = 3
 EXIT_SOLVER = 4
 EXIT_INTEGRATION = 5
 
-DEFAULT_MARGIN = 5
-
-
-@dataclass
-class RunConfig:
-    """Validated bag of CLI parameters for one subcommand invocation."""
-
-    command: str
-    x: float | None = None
-    x_min: float | None = None
-    x_max: float | None = None
-    samples: int = 1001
-    max_n: int = 64
-    set_sites: tuple[int, ...] | None = None
-    nu: float | None = None
-    f: float | None = None
-    beta: float = 0.0
-    steps: int = 10
-    dt: float = dynamics.DEFAULT_DT
-    t_end: float = 20.0 * dynamics.BLOCH_PERIOD
-    out: str | None = None
-    format: str = "csv"
-    signs: str | None = None
-    seed: int | None = None
-    site: int | None = None
-    j: int = 0
-    stride: int = 1
-    initial: str | None = None
-
 
 def fmt(value) -> str:
     """17-significant-digit text, exact round trip for doubles."""
@@ -96,60 +68,73 @@ def _atomic_write(path: str, data: str):
         raise
 
 
+def _emit(out: str | None, text: str):
+    """Write `text` to the --out path, or to stdout when there is none."""
+    if out:
+        _atomic_write(out, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _parse_set(text: str) -> tuple[int, ...]:
     try:
-        sites = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise DomainError(f"--set must be comma-separated integers, got {text!r}")
-    return sites
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}") from None
 
 
-def _resolve_signs(config: RunConfig, n: int):
-    """'+-+' literal, or 'random' drawn from the seeded generator."""
-    if config.signs is None or config.signs == "":
+def _resolve_signs(args: argparse.Namespace, n: int):
+    """'+-+' literal, or 'random' drawn from the seeded generator.
+
+    An empty --signs means the default all-plus pattern.  argparse turns
+    --signs=-- into [], which must stay a pattern of the wrong length and
+    be refused, not fall through to the default.
+    """
+    if args.signs == "":
         return None
-    if config.signs == "random":
-        rng = np.random.default_rng(config.seed)
+    if args.signs == "random":
+        rng = np.random.default_rng(args.seed)
         return tuple(int(s) for s in rng.choice((-1, 1), size=n))
-    return config.signs
+    return args.signs
 
 
-def _lattice_params(config: RunConfig, sset: SolutionSet | None,
-                    beta: float = 0.0) -> LatticeParams:
+def _lattice_params(args: argparse.Namespace, sset: SolutionSet) -> LatticeParams:
     """Dimensionless-first: --x alone means nu = x, f = 1."""
-    if config.nu is not None and config.f is not None:
-        nu, f = config.nu, config.f
-    elif config.x is not None:
-        if config.nu is not None:
-            nu, f = config.nu, config.nu / config.x
+    if args.nu is not None and args.f is not None:
+        nu, f = args.nu, args.f
+    elif args.x is not None:
+        if args.nu is not None:
+            nu, f = args.nu, args.nu / args.x
         else:
-            nu, f = config.x, 1.0
+            nu, f = args.x, 1.0
     else:
         raise DomainError("need --x or the pair --nu/--f")
-    if sset is None:
-        return LatticeParams(nu=nu, f=f, beta=beta)
-    return LatticeParams.for_set(sset, nu=nu, f=f, beta=beta,
-                                 margin=DEFAULT_MARGIN)
+    return LatticeParams.for_set(sset, nu=nu, f=f, beta=args.beta)
 
 
-def cmd_count(config: RunConfig) -> int:
-    if config.x is None:
+def _coefficients(state: StationaryState) -> dict:
+    """The coefficient vector keyed by lattice site, as written to JSON."""
+    return {str(site): float(value)
+            for site, value in zip(state.window_sites, state.coefficients)}
+
+
+def cmd_count(args: argparse.Namespace) -> int:
+    if args.x is None:
         raise DomainError("count needs --x")
-    f_count = counting_function(config.x)
+    f_count = counting_function(args.x)
     print(f"F = {f_count}, branches = {f_count + 1}")
-    if config.x >= 1.0:
-        n = math.floor(config.x)
+    if args.x >= 1.0:
+        n = math.floor(args.x)
         print(f"asymptotic F ~ {f_asymptotic(n):.6g} at n = {n}")
     return EXIT_OK
 
 
-def cmd_tree(config: RunConfig) -> int:
-    if config.x_min is None or config.x_max is None:
-        raise DomainError("tree needs --x-min and --x-max")
-    tree = bifurcation_tree(config.x_min, config.x_max,
-                            samples=config.samples, max_n=config.max_n)
+def cmd_tree(args: argparse.Namespace) -> int:
+    tree = bifurcation_tree(args.x_min, args.x_max,
+                            samples=args.samples, max_n=args.max_n)
     set_labels = ["+".join(str(s) for s in b.set.sites) for b in tree.branches]
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "x_grid": [float(x) for x in tree.x_grid],
             "branches": [
@@ -169,28 +154,26 @@ def cmd_tree(config: RunConfig) -> int:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["x", "branch_id", "set", "mu_over_f", "n_modes", "birth_x"])
-        for x in tree.x_grid:
+        # a branch samples the suffix of the grid above its birth threshold
+        first = [tree.x_grid.size - b.xs.size for b in tree.branches]
+        for k, x in enumerate(tree.x_grid):
             for i, branch in enumerate(tree.branches):
-                if x > branch.birth:
-                    n = branch.set.cardinality
-                    mu = x / n + sum(branch.set.sites) / n
-                    writer.writerow([fmt(x), i, set_labels[i], fmt(mu), n,
-                                     fmt(branch.birth)])
+                if k >= first[i]:
+                    writer.writerow([fmt(x), i, set_labels[i],
+                                     fmt(branch.mu_over_f[k - first[i]]),
+                                     branch.set.cardinality, fmt(branch.birth)])
         text = buffer.getvalue()
-    if config.out:
-        _atomic_write(config.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text)
     return EXIT_OK
 
 
-def _state_payload(config: RunConfig) -> dict:
-    sset = SolutionSet(config.set_sites)
-    params = _lattice_params(config, sset, beta=config.beta)
-    signs = _resolve_signs(config, sset.cardinality)
-    if config.beta > 0:
-        result = continue_in_beta(sset, params, config.beta,
-                                  steps=config.steps, signs=signs)
+def _state_payload(args: argparse.Namespace) -> dict:
+    sset = SolutionSet(args.set)
+    params = _lattice_params(args, sset)
+    signs = _resolve_signs(args, sset.cardinality)
+    if args.beta > 0:
+        result = continue_in_beta(sset, params, args.beta,
+                                  steps=args.steps, signs=signs)
         state, certificate = result.state, result.certificate
     else:
         # the zero-hopping state exists even when its continuation
@@ -207,54 +190,46 @@ def _state_payload(config: RunConfig) -> dict:
         "signs": list(state.signs) if state.signs is not None else None,
         "nu": params.nu,
         "f": params.f,
-        "beta": config.beta,
+        "beta": args.beta,
         "window": [lo, hi],
         "mu": state.mu,
-        "coefficients": {str(site): float(value)
-                         for site, value in zip(params.window_sites,
-                                                state.coefficients)},
+        "coefficients": _coefficients(state),
         "certificate": certificate,
         "residual_norm": residual,
     }
 
 
-def cmd_state(config: RunConfig) -> int:
-    if config.set_sites is None:
+def cmd_state(args: argparse.Namespace) -> int:
+    if args.set is None:
         raise DomainError("state needs --set")
-    payload = _state_payload(config)
-    text = json.dumps(payload, indent=2) + "\n"
-    if config.out:
-        _atomic_write(config.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, json.dumps(_state_payload(args), indent=2) + "\n")
     return EXIT_OK
 
 
-def cmd_continue(config: RunConfig) -> int:
-    if config.set_sites is None:
+def cmd_continue(args: argparse.Namespace) -> int:
+    if args.set is None:
         raise DomainError("continue needs --set")
-    sset = SolutionSet(config.set_sites)
-    params = _lattice_params(config, sset, beta=config.beta)
-    signs = _resolve_signs(config, sset.cardinality)
+    sset = SolutionSet(args.set)
+    params = _lattice_params(args, sset)
+    signs = _resolve_signs(args, sset.cardinality)
     payload = {
         "set": list(sset.sites),
         "nu": params.nu,
         "f": params.f,
-        "beta_target": config.beta,
-        "steps": config.steps,
+        "beta_target": args.beta,
+        "steps": args.steps,
     }
     try:
-        result = continue_in_beta(sset, params, config.beta,
-                                  steps=config.steps, signs=signs)
+        result = continue_in_beta(sset, params, args.beta,
+                                  steps=args.steps, signs=signs)
     except SolverError as exc:
         payload.update({
             "status": "failed",
             "error": str(exc),
             "path": [[b, r, i] for b, r, i in exc.path],
         })
-        text = json.dumps(payload, indent=2) + "\n"
-        if config.out:
-            _atomic_write(config.out, text)
+        if args.out:
+            _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
         print(f"continuation failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     lo, hi = params.window
@@ -264,15 +239,9 @@ def cmd_continue(config: RunConfig) -> int:
         "path": [[b, r, i] for b, r, i in result.path],
         "mu": result.state.mu,
         "window": [lo, hi],
-        "coefficients": {str(site): float(value)
-                         for site, value in zip(params.window_sites,
-                                                result.state.coefficients)},
+        "coefficients": _coefficients(result.state),
     })
-    text = json.dumps(payload, indent=2) + "\n"
-    if config.out:
-        _atomic_write(config.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -295,49 +264,52 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
     return vector, params
 
 
-def _evolve_trace(config: RunConfig):
+def _evolve_trace(args: argparse.Namespace):
     """Pick the evolution mode; returns (trace, params, spectrum site, x)."""
-    if config.initial is not None:
-        vector, params = load_state_vector(config.initial)
-        trace = dynamics.evolve(vector, params, config.t_end, config.dt)
-        if config.site is not None:
-            site = config.site
+    if args.initial is not None:
+        vector, params = load_state_vector(args.initial)
+        trace = dynamics.evolve(vector, params, args.t_end, args.dt)
+        if args.site is not None:
+            site = args.site
         else:
             site = int(params.window[0] + np.argmax(np.abs(vector)))
         return trace, params, site, params.ratio
-    if config.set_sites is not None:
-        sset = SolutionSet(config.set_sites)
-        params = _lattice_params(config, sset, beta=config.beta)
-        signs = _resolve_signs(config, sset.cardinality)
-        if config.beta > 0:
-            state = continue_in_beta(sset, params, config.beta,
-                                     steps=config.steps, signs=signs).state
+    if args.set is not None:
+        sset = SolutionSet(args.set)
+        params = _lattice_params(args, sset)
+        signs = _resolve_signs(args, sset.cardinality)
+        if args.beta > 0:
+            state = continue_in_beta(sset, params, args.beta,
+                                     steps=args.steps, signs=signs).state
         else:
             state = build_state(sset, params, signs=signs)
         trace = dynamics.evolve(state.coefficients.astype(complex),
-                                params, config.t_end, config.dt)
-        site = config.site if config.site is not None else sset.sites[0]
+                                params, args.t_end, args.dt)
+        site = args.site if args.site is not None else sset.sites[0]
         return trace, params, site, params.ratio
     # default: three-state superposition around well j
-    if config.x is None and (config.nu is None or config.f is None):
+    if args.x is None and (args.nu is None or args.f is None):
         raise DomainError("evolve needs --initial, --set, or --x for the "
                           "three-state superposition")
-    if config.x is None:
-        x = config.nu / config.f
-        nu, f = config.nu, config.f
+    if args.x is None:
+        x = args.nu / args.f
+        nu, f = args.nu, args.f
     else:
-        x = config.x
-        nu = config.nu if config.nu is not None else 0.05
+        x = args.x
+        nu = args.nu if args.nu is not None else 0.05
         f = nu / x
-    window = (config.j - 1 - DEFAULT_MARGIN, config.j + 1 + DEFAULT_MARGIN)
-    params = LatticeParams(nu=nu, f=f, beta=config.beta, window=window)
-    trace = dynamics.beating_trace(x, config.j, params, config.t_end, config.dt)
-    site = config.site if config.site is not None else config.j
+    window = (args.j - 1 - DEFAULT_WINDOW_MARGIN,
+              args.j + 1 + DEFAULT_WINDOW_MARGIN)
+    params = LatticeParams(nu=nu, f=f, beta=args.beta, window=window)
+    trace = dynamics.beating_trace(x, args.j, params, args.t_end, args.dt)
+    site = args.site if args.site is not None else args.j
     return trace, params, site, x
 
 
-def cmd_evolve(config: RunConfig) -> int:
-    trace, params, site, x = _evolve_trace(config)
+def cmd_evolve(args: argparse.Namespace) -> int:
+    if args.stride < 1:
+        raise DomainError(f"--stride must be >= 1, got {args.stride}")
+    trace, params, site, x = _evolve_trace(args)
     peaks = dynamics.spectrum(trace, site)
     predicted = list(dynamics.beat_periods(x)) if x > 1.0 else None
 
@@ -346,7 +318,7 @@ def cmd_evolve(config: RunConfig) -> int:
     writer.writerow(["t_prime", "site", "abs2"])
     sites = params.window_sites
     abs2 = np.abs(trace.states) ** 2
-    for k in range(0, trace.times.size, config.stride):
+    for k in range(0, trace.times.size, args.stride):
         t_text = fmt(trace.times[k])
         for col, lattice_site in enumerate(sites):
             writer.writerow([t_text, int(lattice_site), fmt(abs2[k, col])])
@@ -363,13 +335,13 @@ def cmd_evolve(config: RunConfig) -> int:
         "energy_drift": trace.energy_drift,
         "dt": trace.dt,
         "t_end": float(trace.times[-1]),
-        "stride": config.stride,
+        "stride": args.stride,
     }
     json_text = json.dumps(companion, indent=2) + "\n"
 
-    if config.out:
-        _atomic_write(config.out, csv_text)
-        root, _ = os.path.splitext(config.out)
+    if args.out:
+        _atomic_write(args.out, csv_text)
+        root, _ = os.path.splitext(args.out)
         _atomic_write(root + ".json", json_text)
     else:
         sys.stdout.write(csv_text)
@@ -389,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         if "x" in names:
             p.add_argument("--x", type=float, help="ratio nu/f")
         if "set" in names:
-            p.add_argument("--set", type=str, help="comma-separated sites, e.g. 0,1,3")
+            p.add_argument("--set", type=_parse_set,
+                           help="comma-separated sites, e.g. 0,1,3")
         if "nu_f" in names:
             p.add_argument("--nu", type=float, help="nonlinearity nu")
             p.add_argument("--f", type=float, help="tilt f")
@@ -441,23 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in ("x", "x_min", "x_max", "samples", "max_n", "nu", "f", "beta",
-                 "steps", "dt", "t_end", "out", "format", "signs", "seed",
-                 "site", "j", "stride", "initial"):
-        if hasattr(args, name):
-            value = getattr(args, name)
-            if value is not None or name in ("out", "signs", "seed", "site",
-                                             "initial", "x", "nu", "f"):
-                setattr(config, name, value)
-    if getattr(args, "set", None) is not None:
-        config.set_sites = _parse_set(args.set)
-    if config.stride < 1:
-        raise DomainError(f"--stride must be >= 1, got {config.stride}")
-    return config
-
-
 COMMANDS = {
     "count": cmd_count,
     "tree": cmd_tree,
@@ -474,8 +430,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        config = _config_from_args(args)
-        return COMMANDS[config.command](config)
+        return COMMANDS[args.command](args)
     except (DomainError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -12,7 +12,6 @@ an empty site; such sets are refused.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,38 +22,19 @@ from .anticontinuum import (
     StationaryState,
     build_state,
 )
-from .errors import ConfigurationError, DomainError, ResonanceError, SolverError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    ResonanceError,
+    SolverError,
+    check_int,
+)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
 # mu/f closer than this to an empty integer rung counts as resonant.
 RESONANCE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RescaledProblem:
-    """Hopping and tilt measured in units of the base state energy:
-    beta' = beta/mu, f' = f/mu, with amplitudes rescaled by sqrt(nu/mu)."""
-
-    beta_prime: float
-    f_prime: float
-    base_mu: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.base_mu) and self.base_mu > 0):
-            raise DomainError(
-                f"rescaling needs a positive base energy, got mu = {self.base_mu}"
-            )
-
-    @classmethod
-    def from_state(cls, state: StationaryState) -> "RescaledProblem":
-        return cls(beta_prime=state.params.beta / state.mu,
-                   f_prime=state.params.f / state.mu,
-                   base_mu=state.mu)
-
-    def rescale_coefficients(self, state: StationaryState) -> np.ndarray:
-        return np.sqrt(state.params.nu / self.base_mu) * state.coefficients
 
 
 @dataclass
@@ -74,15 +54,9 @@ class ContinuationResult:
 
 
 def _residual(c: np.ndarray, mu: float, params: LatticeParams) -> np.ndarray:
-    """Stationary residual per site plus the normalization row.
-
-    Dirichlet window ends: neighbours outside the window are zero.
-    """
-    hop = np.zeros_like(c)
-    hop[:-1] += c[1:]
-    hop[1:] += c[:-1]
+    """Stationary residual per site plus the normalization row."""
     sites = params.window_sites
-    r = (-params.beta * (hop + 2.0 * c) + params.nu * c ** 3
+    r = (params.hopping(c) + params.nu * c ** 3
          + params.f * sites * c - mu * c)
     return np.append(r, np.sum(c ** 2) - 1.0)
 
@@ -141,23 +115,27 @@ def jacobian_diagonal_t0(state: StationaryState) -> tuple[np.ndarray, float]:
     T_l = f l / mu - 1, which vanishes exactly at a resonance mu = f l.
     Raises ResonanceError when an empty window site is within
     RESONANCE_TOL of mu/f (the certificate would be zero and continuation
-    has no smooth branch to follow).
+    has no smooth branch to follow), and DomainError when mu <= 0, where
+    the rescaling by mu is undefined.
     """
     if state.set is None:
         raise ConfigurationError(
             "zero-hopping certificate needs a state with exact support"
         )
-    problem = RescaledProblem.from_state(state)  # validates mu > 0
+    mu, p = state.mu, state.params
+    if not (math.isfinite(mu) and mu > 0):
+        raise DomainError(f"rescaling needs a positive base energy, got mu = {mu}")
     sites = state.window_sites
-    mu_over_f = state.mu / state.params.f
+    mu_over_f = mu / p.f
     for site in sites:
         if site not in state.set and abs(mu_over_f - site) < RESONANCE_TOL:
             raise ResonanceError(
                 f"mu/f = {mu_over_f} resonant with empty site {site}; "
                 f"zero-hopping Jacobian is singular"
             )
-    c_scaled = problem.rescale_coefficients(state)
-    t_diag = problem.f_prime * sites - 1.0 + 3.0 * c_scaled ** 2
+    # hopping and tilt in units of mu, amplitudes rescaled by sqrt(nu/mu)
+    c_scaled = np.sqrt(p.nu / mu) * state.coefficients
+    t_diag = p.f / mu * sites - 1.0 + 3.0 * c_scaled ** 2
     return t_diag, float(np.min(np.abs(t_diag)))
 
 
@@ -203,9 +181,7 @@ def newton_solve(guess: StationaryState, params: LatticeParams,
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    max_iter = operator.index(max_iter)
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = check_int(max_iter, "max_iter", 1)
     if abs(guess.norm_sq() - 1.0) > 1e-6:
         raise DomainError("Newton guess must be normalized")
     _check_windows(guess, params)
@@ -231,9 +207,7 @@ def continue_in_beta(sset: SolutionSet, params: LatticeParams, beta_target,
     beta_target = float(beta_target)
     if not (math.isfinite(beta_target) and beta_target >= 0):
         raise DomainError(f"beta_target must be >= 0, got {beta_target}")
-    steps = operator.index(steps)
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    steps = check_int(steps, "steps", 1)
     base_params = replace(params, beta=0.0)
     state = build_state(sset, base_params, signs=signs)
     _, certificate = jacobian_diagonal_t0(state)

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anticontinuum import LatticeParams, SolutionSet, StationaryState, build_state
+from .anticontinuum import (
+    LatticeParams,
+    SolutionSet,
+    StationaryState,
+    _normalize_signs,
+    build_state,
+)
 from .errors import ConfigurationError, DomainError, IntegrationError
 
 BLOCH_PERIOD = 2.0 * math.pi
@@ -84,37 +90,17 @@ def beating_profile(x, signs, t_prime):
 
     q = s1 c1 e^{i x t'/2} + s2 c2 e^{i t'/2} + s3 c3 e^{-i t'/2} with the
     closed-form amplitudes c1 = 1, c2 = sqrt(1/2 + 1/(2x)),
-    c3 = sqrt(1/2 - 1/(2x)).  Vectorized over t_prime.
+    c3 = sqrt(1/2 - 1/(2x)).  signs is a '+-+' string, three +-1 values or
+    None for all-plus.  Vectorized over t_prime.
     """
     pred = BeatingPrediction.for_ratio(x)
-    s1, s2, s3 = _three_signs(signs)
+    s1, s2, s3 = _normalize_signs(signs, 3)
     c1, c2, c3 = pred.amplitudes
     t = np.asarray(t_prime, dtype=float)
     q = (s1 * c1 * np.exp(0.5j * pred.x * t)
          + s2 * c2 * np.exp(0.5j * t)
          + s3 * c3 * np.exp(-0.5j * t))
     return complex(q) if np.isscalar(t_prime) else q
-
-
-def _three_signs(signs) -> tuple[int, int, int]:
-    if isinstance(signs, str):
-        if len(signs) != 3 or not all(ch in "+-" for ch in signs):
-            raise DomainError(f"need three '+'/'-' signs, got {signs!r}")
-        return tuple(1 if ch == "+" else -1 for ch in signs)
-    out = tuple(signs)
-    if len(out) != 3 or not all(s in (1, -1) for s in out):
-        raise DomainError(f"need three +-1 signs, got {signs!r}")
-    return out
-
-
-def energy_functional(c: np.ndarray, params: LatticeParams) -> float:
-    """Conserved first integral: hopping + tilt + quartic on-site terms."""
-    sites = params.window_sites
-    hop = 2.0 * float(np.real(np.vdot(c[:-1], c[1:])))
-    abs2 = np.abs(c) ** 2
-    return float(-params.beta * (hop + 2.0 * np.sum(abs2))
-                 + 0.5 * params.nu * np.sum(abs2 ** 2)
-                 + params.f * np.sum(sites * abs2))
 
 
 def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
@@ -145,10 +131,7 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
     prefactor = 1j / f
 
     def rhs(c):
-        hop = np.zeros_like(c)
-        hop[:-1] += c[1:]
-        hop[1:] += c[:-1]
-        return prefactor * (-beta * (hop + 2.0 * c)
+        return prefactor * (params.hopping(c)
                             + nu * np.abs(c) ** 2 * c + f * sites * c)
 
     n_steps = max(1, round(t_end / dt))

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, plus the one integer-argument
+check, which raises DomainError.
 
 The CLI maps these onto its exit-code contract: bad input 2, I/O 3,
 solver/continuation failures 4, integration quality 5.
 """
+
+import operator
 
 
 class DomainError(ValueError):
@@ -43,3 +46,21 @@ class SolverError(RuntimeError):
 
 class IntegrationError(RuntimeError):
     """Time integration drifted beyond the accepted quality gate."""
+
+
+def check_int(value, name: str, lo: int | None = None,
+              hi: int | None = None) -> int:
+    """`value` as an exact integer within [lo, hi] (either bound optional).
+
+    Floats are refused even when integral; anything that is not an integer
+    or lies outside the bounds raises DomainError naming `name`.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if lo is not None and value < lo:
+        raise DomainError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise DomainError(f"{name} must be <= {hi}, got {value}")
+    return value

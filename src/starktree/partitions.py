@@ -11,10 +11,9 @@ asymptotics of Q and of its running sum F.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 # Exact DP is quadratic in n; counts this deep are astronomically beyond
 # anything the bifurcation analysis can use, so cap rather than crawl.
@@ -49,18 +48,6 @@ class DistinctPartition:
         return len(self.parts)
 
 
-def _check_count_arg(n) -> int:
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"partition size must be an integer, got {n!r}") from None
-    if n < 0:
-        raise DomainError(f"partition size must be non-negative, got {n}")
-    if n > MAX_N:
-        raise DomainError(f"partition size {n} exceeds supported range {MAX_N}")
-    return n
-
-
 def _q_table(nmax: int) -> list[int]:
     """q[m] for m = 0..nmax: partitions of m into distinct positive parts.
 
@@ -77,7 +64,7 @@ def _q_table(nmax: int) -> list[int]:
 
 def q_distinct(n) -> int:
     """Number of partitions of n into distinct positive parts; q_distinct(0) = 1."""
-    n = _check_count_arg(n)
+    n = check_int(n, "partition size", 0, MAX_N)
     return _q_table(n)[n]
 
 
@@ -87,7 +74,7 @@ def enumerate_distinct_partitions(n) -> list[DistinctPartition]:
     Returned in lexicographic order on the part tuples, so for n = 3 the
     list is [{0,1,2}, {0,3}].  Length equals q_distinct(n).
     """
-    n = _check_count_arg(n)
+    n = check_int(n, "partition size", 0, MAX_N)
     out: list[DistinctPartition] = []
 
     def extend(prefix: tuple[int, ...], remaining: int, smallest: int):
@@ -120,23 +107,13 @@ def counting_function(x) -> int:
     return sum(q[1:])
 
 
-def _check_asymptotic_arg(n) -> int:
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"asymptotic argument must be an integer, got {n!r}") from None
-    if n < 1:
-        raise DomainError(f"asymptotic formula is singular for n = {n}; need n >= 1")
-    return n
-
-
 def q_asymptotic(n) -> float:
     """Exponential asymptotic of q_distinct: exp(pi sqrt(n/3)) / (4 3^(1/4) n^(3/4))."""
-    n = _check_asymptotic_arg(n)
+    n = check_int(n, "asymptotic argument", 1)
     return math.exp(math.pi * math.sqrt(n / 3.0)) / (4.0 * 3.0 ** 0.25 * n ** 0.75)
 
 
 def f_asymptotic(n) -> float:
     """Exponential asymptotic of the running sum: exp(pi sqrt(n/3)) / (2 pi (n/3)^(1/4))."""
-    n = _check_asymptotic_arg(n)
+    n = check_int(n, "asymptotic argument", 1)
     return math.exp(math.pi * math.sqrt(n / 3.0)) / (2.0 * math.pi * (n / 3.0) ** 0.25)

@@ -273,6 +273,8 @@ def test_evolve_initial_file_runs(tmp_path):
 
 def test_evolve_requires_inputs(capsys):
     assert run(["evolve"]) == 2
+    assert run(["evolve", "--set", "0,a", "--x", "1.5"]) == 2
+    assert run(["evolve", "--x", "1.5", "--stride", "0"]) == 2
 
 
 # ---------------------------------------------------------------------------

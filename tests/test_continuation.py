@@ -7,7 +7,6 @@ from starktree import (
     ConfigurationError,
     DomainError,
     LatticeParams,
-    RescaledProblem,
     ResonanceError,
     SolutionSet,
     SolverError,
@@ -113,13 +112,14 @@ def test_t0_resonance_detected():
         jacobian_diagonal_t0(st)
 
 
-def test_rescaled_problem_requires_positive_energy():
+def test_t0_requires_positive_energy():
+    # {-5} at nu = f = 1 is admissible with mu = 1 - 5 = -4: the rescaling
+    # by mu behind the certificate is undefined
+    sset = SolutionSet((-5,))
+    st = build_state(sset, LatticeParams.for_set(sset, nu=1.0, f=1.0))
+    assert st.mu == -4.0
     with pytest.raises(DomainError):
-        RescaledProblem(beta_prime=0.0, f_prime=1.0, base_mu=-0.5)
-    st = build_state(S01, params_for(S01, 1.5))
-    prob = RescaledProblem.from_state(st)
-    assert prob.base_mu == st.mu
-    assert prob.f_prime == pytest.approx(1.0 / st.mu, rel=1e-15)
+        jacobian_diagonal_t0(st)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,21 @@ def test_jacobian_matches_finite_differences():
         numeric = fd_jacobian(st, p)
         scale = np.max(np.abs(analytic))
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-6
+
+
+def test_hopping_operator_is_the_jacobian_off_diagonal():
+    # the stencil shared by the stationary and the time-dependent equation
+    # must stay the one the analytic Jacobian differentiates
+    rng = np.random.default_rng(31)
+    beta = 0.3
+    p = LatticeParams(nu=1.0, f=1.0, beta=beta, window=(-6, 6))
+    w = p.window_size
+    st = StationaryState(params=p, coefficients=np.zeros(w), mu=0.5)
+    tri = extended_jacobian(st)[:w, :w]
+    off = tri - np.diag(np.diag(tri))
+    for c in (rng.normal(size=w), rng.normal(size=w) + 1j * rng.normal(size=w)):
+        np.testing.assert_allclose(p.hopping(c), off @ c - 2.0 * beta * c,
+                                   rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

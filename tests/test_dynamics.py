@@ -66,6 +66,11 @@ def test_beating_profile_at_zero():
     expected = 1.0 + math.sqrt(5.0 / 6.0) + math.sqrt(1.0 / 6.0)
     assert q0 == pytest.approx(expected, rel=1e-14)
     assert isinstance(q0, complex)
+    # None means all-plus, as in build_state
+    assert beating_profile(1.5, None, 0.0) == q0
+    t = np.linspace(0.0, 10.0, 7)
+    assert np.array_equal(beating_profile(1.5, None, t),
+                          beating_profile(1.5, (1, 1, 1), t))
 
 
 def test_beating_profile_pairwise_realignment():
