@@ -26,6 +26,7 @@ from .anticontinuum import (
     LatticeParams,
     SolutionSet,
     StationaryState,
+    _normalize_signs,
     bifurcation_tree,
     build_state,
 )
@@ -84,19 +85,18 @@ def _parse_set(text: str) -> tuple[int, ...]:
             f"must be comma-separated integers, got {text!r}") from None
 
 
-def _resolve_signs(args: argparse.Namespace, n: int):
-    """'+-+' literal, or 'random' drawn from the seeded generator.
+def _resolve_signs(args: argparse.Namespace, n: int) -> tuple[int, ...]:
+    """The n signs as +-1: a '+-+' literal, or 'random' drawn from the
+    seeded generator.
 
-    An empty --signs means the default all-plus pattern.  argparse turns
-    --signs=-- into [], which must stay a pattern of the wrong length and
-    be refused, not fall through to the default.
+    An absent or empty --signs means the default all-plus pattern.
+    argparse turns --signs=-- into [], which must stay a pattern of the
+    wrong length and be refused, not fall through to the default.
     """
-    if args.signs == "":
-        return None
     if args.signs == "random":
         rng = np.random.default_rng(args.seed)
         return tuple(int(s) for s in rng.choice((-1, 1), size=n))
-    return args.signs
+    return _normalize_signs(None if args.signs == "" else args.signs, n)
 
 
 def _lattice_params(args: argparse.Namespace, sset: SolutionSet) -> LatticeParams:
@@ -187,7 +187,7 @@ def _state_payload(args: argparse.Namespace) -> dict:
     lo, hi = params.window
     return {
         "set": list(sset.sites),
-        "signs": list(state.signs) if state.signs is not None else None,
+        "signs": list(signs),
         "nu": params.nu,
         "f": params.f,
         "beta": args.beta,
@@ -214,6 +214,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
     signs = _resolve_signs(args, sset.cardinality)
     payload = {
         "set": list(sset.sites),
+        "signs": list(signs),
         "nu": params.nu,
         "f": params.f,
         "beta_target": args.beta,
@@ -258,6 +259,8 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
                                beta=payload["beta"], window=(lo, hi))
         vector = np.zeros(hi - lo + 1, dtype=complex)
         for site, value in payload["coefficients"].items():
+            if not lo <= int(site) <= hi:
+                raise DomainError(f"site {site} outside window [{lo}, {hi}]")
             vector[int(site) - lo] = value
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"state file {path} is not usable: {exc}") from exc

@@ -179,6 +179,21 @@ def test_state_sign_pattern_and_seeded_random(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_signs_are_written_after_continuation(tmp_path):
+    # the drawn pattern must be readable back from every payload
+    argv = ["--set", "0,1,3", "--x", "7.5", "--signs=random", "--seed", "11"]
+    out = tmp_path / "out.json"
+    written = []
+    for extra in (["state"], ["state", "--beta", "0.01"],
+                  ["continue", "--beta", "0.01"]):
+        assert run([*extra, *argv, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload)[:2] == ["set", "signs"]
+        written.append(payload["signs"])
+    assert written[0] != [1, 1, 1]
+    assert written == [written[0]] * 3
+
+
 # ---------------------------------------------------------------------------
 # continue
 
@@ -203,6 +218,7 @@ def test_continue_failure_writes_partial_path(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["status"] == "failed"
     assert payload["path"][0][0] == 0.0
+    assert payload["signs"] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +287,24 @@ def test_evolve_initial_file_runs(tmp_path):
     assert companion["peaks"][0][0] == 0.0  # flat density: DC line only
 
 
+@pytest.mark.parametrize("site", ["9", "-2"])
+def test_evolve_initial_refuses_sites_outside_window(tmp_path, capsys, site):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({
+        "nu": 2.0, "f": 1.0, "beta": 0.0, "window": [0, 5],
+        "coefficients": {"0": 0.6, site: 0.8},
+    }))
+    assert run(["evolve", "--initial", str(state_path)]) == 2
+    assert "outside window" in capsys.readouterr().err
+
+
 def test_evolve_requires_inputs(capsys):
     assert run(["evolve"]) == 2
     assert run(["evolve", "--set", "0,a", "--x", "1.5"]) == 2
     assert run(["evolve", "--x", "1.5", "--stride", "0"]) == 2
+    # about 3.3e8 steps: refused before the trace is allocated
+    assert run(["evolve", "--x", "1.5", "--t-end", "1e6"]) == 2
+    assert "bytes" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
