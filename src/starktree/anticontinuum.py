@@ -110,11 +110,11 @@ class LatticeParams:
         """Hopping term -beta (c_{l+1} + c_{l-1} + 2 c_l) of the lattice
         operator, shared by the stationary and the time-dependent equation.
 
-        Dirichlet ends on the last axis: neighbours outside the window are 0.
+        Dirichlet window ends: neighbours outside the window are zero.
         """
         hop = np.zeros_like(c)
-        hop[..., :-1] += c[..., 1:]
-        hop[..., 1:] += c[..., :-1]
+        hop[:-1] += c[1:]
+        hop[1:] += c[:-1]
         return -self.beta * (hop + 2.0 * c)
 
     def covers(self, sset: SolutionSet, margin: int = MIN_WINDOW_MARGIN) -> bool:

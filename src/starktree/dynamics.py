@@ -11,7 +11,7 @@ two nu/f-dependent periods T1 = 4 pi/(1 + nu/f) and T2 = 4 pi/(nu/f - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,8 +32,8 @@ DEFAULT_DT = BLOCH_PERIOD / 2048
 
 NORM_DRIFT_LIMIT = 1e-6
 
-# Largest trace, in bytes of stored complex samples, that evolve allocates;
-# longer requests are refused before any allocation.
+# Largest trace, in bytes of stored complex samples, that one evolve call
+# allocates; longer requests are refused before any allocation.
 MAX_TRACE_BYTES = 1 << 30
 
 
@@ -59,7 +59,7 @@ class DynamicsTrace:
         lo, hi = self.window
         if not lo <= site <= hi:
             raise ConfigurationError(f"site {site} outside window {self.window}")
-        return self.states[..., site - lo]
+        return self.states[:, site - lo]
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,10 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
            ) -> DynamicsTrace:
     """Integrate the time-dependent lattice equation with fixed-step RK4.
 
-    `initial` is a normalized complex vector over the window, shape (W,),
-    or a stack of them, shape (k, W), integrated side by side.  The trace
-    is sampled every step and has shape (steps + 1,) + initial.shape; norm
-    drift beyond 1e-6 in any member raises IntegrationError (use a smaller
-    dt), and a trace above MAX_TRACE_BYTES is refused with DomainError.
+    `initial` is a normalized complex vector over the window.  The trace is
+    sampled every step; norm drift beyond 1e-6 raises IntegrationError
+    (use a smaller dt), and a trace above MAX_TRACE_BYTES is refused with
+    DomainError.
     """
     t_end = float(t_end)
     dt = float(dt)
@@ -124,12 +123,13 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
     if not (math.isfinite(dt) and 0 < dt <= t_end):
         raise DomainError(f"dt must satisfy 0 < dt <= t_end, got {dt}")
     c0 = np.asarray(initial, dtype=complex)
-    if c0.ndim not in (1, 2) or c0.shape[-1] != params.window_size:
+    if c0.shape != (params.window_size,):
         raise ConfigurationError(
-            f"initial states have shape {c0.shape}, window holds "
-            f"{params.window_size} sites"
+            f"initial vector has {c0.size} entries, window holds "
+            f"{params.window_size}"
         )
-    if np.any(np.abs(np.sum(np.abs(c0) ** 2, axis=-1) - 1.0) > 1e-8):
+    # written so that a NaN coefficient fails the check too
+    if not abs(np.sum(np.abs(c0) ** 2) - 1.0) <= 1e-8:
         raise DomainError("initial vector must be normalized")
     n_steps = max(1, round(t_end / dt))
     if (n_steps + 1) * c0.size * 16 > MAX_TRACE_BYTES:
@@ -147,7 +147,7 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
                             + nu * np.abs(c) ** 2 * c + f * sites * c)
 
     times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1,) + c0.shape, dtype=complex)
+    states = np.empty((n_steps + 1, c0.size), dtype=complex)
     states[0] = c0
     c = c0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -159,21 +159,17 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
             c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states[k] = c
 
-        # The ledger takes one member at a time, so its temporaries stay the
-        # size of one trajectory; np.max, unlike max(), keeps a NaN drift.
-        drifts = []
-        for s in states.reshape(n_steps + 1, -1, sites.size).swapaxes(0, 1):
-            abs2 = np.abs(s) ** 2
-            norms = np.sum(abs2, axis=1)
-            hops = 2.0 * np.real(np.sum(np.conj(s[:, :-1]) * s[:, 1:],
-                                        axis=1))
-            energies = (-beta * (hops + 2.0 * norms)
-                        + 0.5 * nu * np.sum(abs2 ** 2, axis=1)
-                        + f * abs2 @ sites)
-            scale = max(abs(energies[0]), 1e-30)
-            drifts.append((np.max(np.abs(norms - 1.0)),
-                           np.max(np.abs(energies - energies[0])) / scale))
-    norm_drift, energy_drift = (float(d) for d in np.max(drifts, axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs2 = np.abs(states) ** 2
+        norms = np.sum(abs2, axis=1)
+        norm_drift = float(np.max(np.abs(norms - 1.0)))
+        hops = 2.0 * np.real(np.sum(np.conj(states[:, :-1]) * states[:, 1:],
+                                    axis=1))
+        energies = (-beta * (hops + 2.0 * norms)
+                    + 0.5 * nu * np.sum(abs2 ** 2, axis=1)
+                    + f * abs2 @ sites)
+        scale = max(abs(energies[0]), 1e-30)
+        energy_drift = float(np.max(np.abs(energies - energies[0])) / scale)
     if not math.isfinite(norm_drift) or norm_drift > NORM_DRIFT_LIMIT:
         raise IntegrationError(
             f"norm drifted by {norm_drift:.3e} (> {NORM_DRIFT_LIMIT}); "
@@ -204,18 +200,24 @@ def superposition_state(x, j: int, params: LatticeParams) -> np.ndarray:
 
 def beating_trace(x, j: int, params: LatticeParams, t_end,
                   dt: float = DEFAULT_DT) -> DynamicsTrace:
-    """Beating observable: the three well-j states integrated as one stack
+    """Beating observable: the three well-j states integrated separately
     under the full equation and summed coherently.
 
     A sum of stationary states is not itself a solution, so evolving the
     summed vector washes the beats out; the observable superposition keeps
     each state on its own exact orbit.  The drift ledger reports the worst
-    of the three members.
+    of the three underlying integrations.
     """
-    wells = [s.coefficients for s in _well_states(x, j, params)]
-    trace = evolve(wells, params, t_end, dt)
-    s = trace.states
-    return replace(trace, states=s[:, 0] + s[:, 1] + s[:, 2])
+    traces = [evolve(s.coefficients.astype(complex), params, t_end, dt)
+              for s in _well_states(x, j, params)]
+    summed = traces[0].states + traces[1].states + traces[2].states
+    return DynamicsTrace(
+        times=traces[0].times,
+        states=summed,
+        window=params.window,
+        norm_drift=max(t.norm_drift for t in traces),
+        energy_drift=max(t.energy_drift for t in traces),
+    )
 
 
 MIN_SPECTRUM_SAMPLES = 1 << 10

@@ -287,15 +287,20 @@ def test_evolve_initial_file_runs(tmp_path):
     assert companion["peaks"][0][0] == 0.0  # flat density: DC line only
 
 
-@pytest.mark.parametrize("site", ["9", "-2"])
-def test_evolve_initial_refuses_sites_outside_window(tmp_path, capsys, site):
+@pytest.mark.parametrize("site, value, message", [
+    ("9", 0.8, "outside window"),
+    ("-2", 0.8, "outside window"),
+    ("1", math.nan, "normalized"),  # json writes and reads NaN
+])
+def test_evolve_initial_refuses_bad_coefficients(tmp_path, capsys, site,
+                                                 value, message):
     state_path = tmp_path / "state.json"
     state_path.write_text(json.dumps({
         "nu": 2.0, "f": 1.0, "beta": 0.0, "window": [0, 5],
-        "coefficients": {"0": 0.6, site: 0.8},
+        "coefficients": {"0": 0.6, site: value},
     }))
     assert run(["evolve", "--initial", str(state_path)]) == 2
-    assert "outside window" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_evolve_requires_inputs(capsys):

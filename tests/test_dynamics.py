@@ -193,73 +193,34 @@ def test_evolve_validation():
         evolve(good, p, t_end=1.0, dt=0.0)
     with pytest.raises(DomainError):
         evolve(2.0 * good, p, t_end=1.0)
-
-
-def test_evolve_stack_validation():
-    p = beating_params(1.5)
-    good = superposition_state(1.5, 0, p)
-    with pytest.raises(DomainError):
-        evolve(np.stack([good, 2.0 * good, good]), p, t_end=1.0)
+    # a NaN coefficient is bad input, not an integration failure
+    with pytest.raises(DomainError, match="normalized"):
+        evolve(np.where(np.arange(good.size) == 3, np.nan, good), p, t_end=1.0)
     with pytest.raises(ConfigurationError):
         evolve(good[:-1], p, t_end=1.0)
     with pytest.raises(ConfigurationError):
-        evolve(np.stack([good[:-1], good[1:]]), p, t_end=1.0)
-    with pytest.raises(ConfigurationError):
-        evolve(good.reshape(1, 1, -1), p, t_end=1.0)
+        evolve(np.stack([good, good]), p, t_end=1.0)
 
 
-def test_evolve_stack_equals_single_calls():
-    rng = np.random.default_rng(5)
-    p = LatticeParams(nu=1.5, f=1.0, beta=0.1, window=WINDOW)
-    stack = (rng.normal(size=(3, p.window_size))
-             + 1j * rng.normal(size=(3, p.window_size)))
-    stack /= np.linalg.norm(stack, axis=1, keepdims=True)
-    together = evolve(stack, p, t_end=BLOCH_PERIOD)
-    assert together.states.shape == (together.times.size, 3, p.window_size)
-    singles = [evolve(row, p, t_end=BLOCH_PERIOD) for row in stack]
-    for member, single in enumerate(singles):
-        assert np.array_equal(together.states[:, member], single.states)
-    assert together.norm_drift == max(t.norm_drift for t in singles)
-    assert together.energy_drift == max(t.energy_drift for t in singles)
-    assert np.array_equal(together.site_column(0)[:, 1],
-                          singles[1].site_column(0))
-
-
-def test_evolve_stack_matches_exact_zero_hopping_solution():
+def test_evolve_matches_exact_zero_hopping_solution():
     # at beta = 0 every site rotates alone:
     # c_l(t) = c_l(0) exp(i (nu |c_l|^2/f + l) t)
     rng = np.random.default_rng(9)
     p = LatticeParams(nu=0.8, f=1.3, beta=0.0, window=(-3, 4))
-    stack = (rng.normal(size=(3, p.window_size))
-             + 1j * rng.normal(size=(3, p.window_size)))
-    stack /= np.linalg.norm(stack, axis=1, keepdims=True)
-    trace = evolve(stack, p, t_end=3.0, dt=1e-3)
-    rates = p.nu * np.abs(stack) ** 2 / p.f + p.window_sites
-    exact = stack * np.exp(1j * rates * trace.times[:, None, None])
+    initial = rng.normal(size=p.window_size) + 1j * rng.normal(size=p.window_size)
+    initial /= np.linalg.norm(initial)
+    trace = evolve(initial, p, t_end=3.0, dt=1e-3)
+    rates = p.nu * np.abs(initial) ** 2 / p.f + p.window_sites
+    exact = initial * np.exp(1j * rates * trace.times[:, None])
     assert np.max(np.abs(trace.states - exact)) < 1e-10
 
 
 def test_evolve_flags_norm_drift():
-    # absurdly large steps wreck conservation and must be reported, for a
-    # single vector and for a stack alike
+    # absurdly large steps wreck conservation and must be reported
     p = LatticeParams(nu=1.5, f=0.01, beta=0.5, window=WINDOW)
     initial = superposition_state(150.0, 0, p)
-    for state in (initial, np.stack([initial] * 3)):
-        with pytest.raises(IntegrationError):
-            evolve(state, p, t_end=40.0, dt=0.5)
-
-
-def test_evolve_flags_non_finite_drift_in_any_member():
-    # the far-site delta overflows to NaN at this dt while the home-site
-    # delta stays conservative; the stack must still fail the norm gate
-    p = LatticeParams(nu=0.1, f=1.0, beta=0.0, window=(-2, 12))
-    calm = np.zeros(p.window_size, dtype=complex)
-    calm[0 - p.window[0]] = 1.0
-    wild = np.zeros(p.window_size, dtype=complex)
-    wild[10 - p.window[0]] = 1.0
-    assert evolve(calm, p, t_end=200.0, dt=0.5).norm_drift < 1e-6
-    with pytest.raises(IntegrationError, match="nan"):
-        evolve(np.stack([calm, wild]), p, t_end=200.0, dt=0.5)
+    with pytest.raises(IntegrationError):
+        evolve(initial, p, t_end=40.0, dt=0.5)
 
 
 def test_evolve_refuses_oversized_trace_before_allocating():
@@ -268,9 +229,10 @@ def test_evolve_refuses_oversized_trace_before_allocating():
     # about 3.3e8 steps of 13 sites: some 70 GB of samples
     with pytest.raises(DomainError, match="bytes"):
         evolve(good, p, t_end=1e6)
-    steps = MAX_TRACE_BYTES // (16 * 3 * p.window_size)
+    # the first step count whose trace is over the cap
+    steps = MAX_TRACE_BYTES // (16 * p.window_size)
     with pytest.raises(DomainError, match="bytes"):
-        evolve(np.stack([good] * 3), p, t_end=steps * 0.01, dt=0.01)
+        evolve(good, p, t_end=steps * 0.01, dt=0.01)
 
 
 # ---------------------------------------------------------------------------
