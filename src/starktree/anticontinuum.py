@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InadmissibleSetError, check_int
-from .partitions import enumerate_distinct_partitions
+from .errors import (ConfigurationError, DomainError, InadmissibleSetError,
+                     check_int, check_real)
+from .partitions import MAX_N, _q_table, enumerate_distinct_partitions
 
 # Margin giving finite-hopping tails below 1e-12 for the beta ranges the
 # continuation targets (beta' <= 0.05).
@@ -27,6 +28,10 @@ DEFAULT_WINDOW_MARGIN = 5
 MIN_WINDOW_MARGIN = 2
 
 NORMALIZATION_TOL = 1e-12
+
+# Largest number of (x, mu/f) samples one bifurcation tree may hold; larger
+# requests are refused before any set is enumerated.
+MAX_TREE_SAMPLES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -80,12 +85,9 @@ class LatticeParams:
     window: tuple[int, int] = (-5, 5)
 
     def __post_init__(self):
-        if not (math.isfinite(self.nu) and self.nu > 0):
-            raise DomainError(f"nu must be finite and positive, got {self.nu}")
-        if not (math.isfinite(self.f) and self.f > 0):
-            raise DomainError(f"f must be finite and positive, got {self.f}")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise DomainError(f"beta must be finite and non-negative, got {self.beta}")
+        object.__setattr__(self, "nu", check_real(self.nu, "nu", above=0))
+        object.__setattr__(self, "f", check_real(self.f, "f", above=0))
+        object.__setattr__(self, "beta", check_real(self.beta, "beta", at_least=0))
         lo, hi = (check_int(v, "window bound") for v in self.window)
         if lo >= hi:
             raise ConfigurationError(f"window must satisfy lo < hi, got ({lo}, {hi})")
@@ -193,17 +195,12 @@ def birth_threshold(sset: SolutionSet) -> int:
 
 def admissible(sset: SolutionSet, x) -> bool:
     """True iff nu/f = x strictly exceeds the birth threshold of the set."""
-    x = float(x)
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"ratio must be finite and positive, got {x}")
-    return x > birth_threshold(sset)
+    return check_real(x, "ratio", above=0) > birth_threshold(sset)
 
 
 def energy_of_set(sset: SolutionSet, nu, f) -> float:
     """Branch energy mu = nu/N + (f/N) sum(S)."""
-    nu, f = float(nu), float(f)
-    if nu <= 0 or f <= 0:
-        raise DomainError("nu and f must be positive")
+    nu, f = check_real(nu, "nu", above=0), check_real(f, "f", above=0)
     n = sset.cardinality
     return nu / n + f * sum(sset.sites) / n
 
@@ -323,9 +320,7 @@ def enumerate_solution_sets(x, max_n: int = 64) -> list[SolutionSet]:
     max_n caps the threshold integers visited; x beyond max_n + 1 raises
     rather than silently dropping branches.
     """
-    x = float(x)
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"ratio must be finite and positive, got {x}")
+    x = check_real(x, "ratio", above=0)
     max_n = check_int(max_n, "max_n", 1)
     top = math.ceil(x) - 1
     if top > max_n:
@@ -349,17 +344,29 @@ def bifurcation_tree(x_min, x_max, samples: int = 1001,
     points inserted exactly.
 
     Each set admissible anywhere in [x_min, x_max] yields a branch sampled
-    strictly above its threshold, where mu/f = x/N + sum(S)/N.
+    strictly above its threshold, where mu/f = x/N + sum(S)/N.  A tree of
+    more than MAX_TREE_SAMPLES samples is refused before any set is
+    enumerated.
     """
-    x_min, x_max = float(x_min), float(x_max)
-    if not (math.isfinite(x_min) and math.isfinite(x_max)):
-        raise DomainError("grid bounds must be finite")
-    if not 0 <= x_min < x_max:
-        raise DomainError(f"need 0 <= x_min < x_max, got [{x_min}, {x_max}]")
+    x_min = check_real(x_min, "x_min", at_least=0)
+    x_max = check_real(x_max, "x_max", above=x_min)
     samples = check_int(samples, "samples", 2)
+    max_n = check_int(max_n, "max_n", 1)
     base = np.linspace(x_min, x_max, samples)
     integers = np.arange(math.ceil(x_min), math.floor(x_max) + 1, dtype=float)
     grid = np.unique(np.concatenate([base, integers]))
+    # q(n) sets are born at each threshold n < x_max, each sampled on the
+    # grid above n.  Thresholds past max_n are refused by the enumeration,
+    # and the count up to MAX_N is far over the cap already.
+    q = _q_table(min(math.ceil(x_max) - 1, max_n, MAX_N))
+    n_samples = sum(q_n * int(np.count_nonzero(grid > n))
+                    for n, q_n in enumerate(q))
+    if n_samples > MAX_TREE_SAMPLES:
+        raise DomainError(
+            f"the tree over nu/f in [{x_min}, {x_max}] needs {n_samples} or "
+            f"more branch samples, above the cap of {MAX_TREE_SAMPLES}; "
+            f"narrow the range or use fewer grid samples"
+        )
     sets = enumerate_solution_sets(x_max, max_n=max_n)
     branches = []
     for sset in sets:

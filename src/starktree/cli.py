@@ -22,7 +22,6 @@ import numpy as np
 
 from . import dynamics
 from .anticontinuum import (
-    DEFAULT_WINDOW_MARGIN,
     LatticeParams,
     SolutionSet,
     StationaryState,
@@ -41,6 +40,7 @@ from .errors import (
     IntegrationError,
     ResonanceError,
     SolverError,
+    check_real,
 )
 from .partitions import counting_function, f_asymptotic
 
@@ -100,16 +100,24 @@ def _resolve_signs(args: argparse.Namespace, n: int) -> tuple[int, ...]:
 
 
 def _lattice_params(args: argparse.Namespace, sset: SolutionSet) -> LatticeParams:
-    """Dimensionless-first: --x alone means nu = x, f = 1."""
-    if args.nu is not None and args.f is not None:
+    """nu and f from two of --x = nu/f, --nu and --f, on the default window
+    around the set.  Dimensionless-first: --x alone means nu = x, f = 1."""
+    x = None if args.x is None else check_real(args.x, "--x", above=0)
+    if x is None:
+        if args.nu is None or args.f is None:
+            raise DomainError("need --x or the pair --nu/--f")
         nu, f = args.nu, args.f
-    elif args.x is not None:
-        if args.nu is not None:
-            nu, f = args.nu, args.nu / args.x
-        else:
-            nu, f = args.x, 1.0
-    else:
-        raise DomainError("need --x or the pair --nu/--f")
+    elif args.nu is not None and args.f is not None:
+        raise DomainError("give --x = nu/f or the pair --nu/--f, not all three")
+    elif args.nu is not None:
+        nu, f = args.nu, args.nu / x
+    elif args.f is not None:
+        f = check_real(args.f, "--f", above=0)
+        nu = x * f
+    elif args.set is not None:
+        nu, f = x, 1.0
+    else:  # the set-less three-state beating of `evolve` keeps nu = 0.05
+        nu, f = 0.05, 0.05 / x
     return LatticeParams.for_set(sset, nu=nu, f=f, beta=args.beta)
 
 
@@ -294,16 +302,9 @@ def _evolve_trace(args: argparse.Namespace):
     if args.x is None and (args.nu is None or args.f is None):
         raise DomainError("evolve needs --initial, --set, or --x for the "
                           "three-state superposition")
-    if args.x is None:
-        x = args.nu / args.f
-        nu, f = args.nu, args.f
-    else:
-        x = args.x
-        nu = args.nu if args.nu is not None else 0.05
-        f = nu / x
-    window = (args.j - 1 - DEFAULT_WINDOW_MARGIN,
-              args.j + 1 + DEFAULT_WINDOW_MARGIN)
-    params = LatticeParams(nu=nu, f=f, beta=args.beta, window=window)
+    # the default window pads the three sites j-1, j, j+1 the states occupy
+    params = _lattice_params(args, SolutionSet((args.j - 1, args.j, args.j + 1)))
+    x = params.ratio if args.x is None else args.x
     trace = dynamics.beating_trace(x, args.j, params, args.t_end, args.dt)
     site = args.site if args.site is not None else args.j
     return trace, params, site, x
@@ -367,7 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", type=_parse_set,
                            help="comma-separated sites, e.g. 0,1,3")
         if "nu_f" in names:
-            p.add_argument("--nu", type=float, help="nonlinearity nu")
+            p.add_argument("--nu", type=float,
+                           help="nonlinearity nu; give --x or --nu/--f, or --x "
+                                "with one of them.  --x alone means nu = x, "
+                                "f = 1, but nu = 0.05, f = 0.05/x for the "
+                                "three-state beating of evolve")
             p.add_argument("--f", type=float, help="tilt f")
         if "beta" in names:
             p.add_argument("--beta", type=float, default=0.0, help="hopping beta")

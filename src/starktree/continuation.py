@@ -28,6 +28,7 @@ from .errors import (
     ResonanceError,
     SolverError,
     check_int,
+    check_real,
 )
 
 NEWTON_TOL = 1e-12
@@ -122,9 +123,7 @@ def jacobian_diagonal_t0(state: StationaryState) -> tuple[np.ndarray, float]:
         raise ConfigurationError(
             "zero-hopping certificate needs a state with exact support"
         )
-    mu, p = state.mu, state.params
-    if not (math.isfinite(mu) and mu > 0):
-        raise DomainError(f"rescaling needs a positive base energy, got mu = {mu}")
+    mu, p = check_real(state.mu, "base energy mu", above=0), state.params
     sites = state.window_sites
     mu_over_f = mu / p.f
     for site in sites:
@@ -179,10 +178,10 @@ def newton_solve(guess: StationaryState, params: LatticeParams,
     guess is returned unchanged; otherwise the result loses its exact-
     support bookkeeping (set/signs become None).
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    tol = check_real(tol, "tolerance", above=0)
     max_iter = check_int(max_iter, "max_iter", 1)
-    if abs(guess.norm_sq() - 1.0) > 1e-6:
+    # written so that a NaN coefficient fails the check too
+    if not abs(guess.norm_sq() - 1.0) <= 1e-6:
         raise DomainError("Newton guess must be normalized")
     _check_windows(guess, params)
     c, mu, _, iters = _newton(guess.coefficients, guess.mu, params, tol, max_iter)
@@ -204,10 +203,9 @@ def continue_in_beta(sset: SolutionSet, params: LatticeParams, beta_target,
     computed up front and a resonant set is refused before any stepping.
     A failed step raises SolverError carrying the path walked so far.
     """
-    beta_target = float(beta_target)
-    if not (math.isfinite(beta_target) and beta_target >= 0):
-        raise DomainError(f"beta_target must be >= 0, got {beta_target}")
+    beta_target = check_real(beta_target, "beta_target", at_least=0)
     steps = check_int(steps, "steps", 1)
+    tol = check_real(tol, "tolerance", above=0)
     base_params = replace(params, beta=0.0)
     state = build_state(sset, base_params, signs=signs)
     _, certificate = jacobian_diagonal_t0(state)

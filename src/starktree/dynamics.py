@@ -22,7 +22,7 @@ from .anticontinuum import (
     _normalize_signs,
     build_state,
 )
-from .errors import ConfigurationError, DomainError, IntegrationError
+from .errors import ConfigurationError, DomainError, IntegrationError, check_real
 
 BLOCH_PERIOD = 2.0 * math.pi
 
@@ -72,8 +72,8 @@ class BeatingPrediction:
 
     @classmethod
     def for_ratio(cls, x) -> "BeatingPrediction":
-        x = float(x)
         periods = beat_periods(x)
+        x = float(x)
         half_over = 0.5 / x  # f/(2 nu)
         amplitudes = (1.0,
                       math.sqrt(0.5 + half_over),
@@ -83,9 +83,7 @@ class BeatingPrediction:
 
 def beat_periods(x) -> tuple[float, float, float]:
     """(Bloch period 2 pi, T1 = 4 pi/(1+x), T2 = 4 pi/(x-1)); needs x > 1."""
-    x = float(x)
-    if not (math.isfinite(x) and x > 1.0):
-        raise DomainError(f"beating needs nu/f > 1, got {x}")
+    x = check_real(x, "beating ratio nu/f", above=1)
     return (BLOCH_PERIOD, 4.0 * math.pi / (1.0 + x), 4.0 * math.pi / (x - 1.0))
 
 
@@ -116,12 +114,10 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
     (use a smaller dt), and a trace above MAX_TRACE_BYTES is refused with
     DomainError.
     """
-    t_end = float(t_end)
-    dt = float(dt)
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise DomainError(f"t_end must be positive, got {t_end}")
-    if not (math.isfinite(dt) and 0 < dt <= t_end):
-        raise DomainError(f"dt must satisfy 0 < dt <= t_end, got {dt}")
+    t_end = check_real(t_end, "t_end", above=0)
+    dt = check_real(dt, "dt", above=0)
+    if dt > t_end:
+        raise DomainError(f"dt must not exceed t_end = {t_end}, got {dt}")
     c0 = np.asarray(initial, dtype=complex)
     if c0.shape != (params.window_size,):
         raise ConfigurationError(
@@ -180,13 +176,13 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
 
 
 def _well_states(x, j: int, params: LatticeParams) -> list[StationaryState]:
-    """The three zero-hopping states sharing well j: {j}, {j, j+1}, {j-1, j}."""
-    if abs(params.ratio - float(x)) > 1e-9 * max(1.0, abs(float(x))):
+    """The three zero-hopping states sharing well j: {j}, {j, j+1}, {j-1, j};
+    they exist together only for nu/f > 1."""
+    x = check_real(x, "nu/f of the three well states", above=1)
+    if abs(params.ratio - x) > 1e-9 * x:
         raise DomainError(
             f"requested ratio {x} inconsistent with params nu/f = {params.ratio}"
         )
-    if not float(x) > 1.0:
-        raise DomainError(f"three states share a well only for nu/f > 1, got {x}")
     return [build_state(SolutionSet(s), params)
             for s in ((j,), (j, j + 1), (j - 1, j))]
 

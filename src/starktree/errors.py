@@ -1,10 +1,12 @@
-"""Exception types shared across the package, plus the one integer-argument
-check, which raises DomainError.
+"""Exception types shared across the package, plus the integer- and
+real-argument checks, which raise DomainError.
 
 The CLI maps these onto its exit-code contract: bad input 2, I/O 3,
 solver/continuation failures 4, integration quality 5.
 """
 
+import math
+import numbers
 import operator
 
 
@@ -64,3 +66,22 @@ def check_int(value, name: str, lo: int | None = None,
     if hi is not None and value > hi:
         raise DomainError(f"{name} must be <= {hi}, got {value}")
     return value
+
+
+def check_real(value, name: str, above: float | None = None,
+               at_least: float | None = None) -> float:
+    """`value` as a finite float, > above and >= at_least (either optional).
+
+    Python and numpy real scalars pass; strings, None, NaN, +-inf and
+    values outside the bounds raise DomainError naming `name`.
+    """
+    number = float(value) if isinstance(value, numbers.Real) else math.nan
+    if not math.isfinite(number):
+        raise DomainError(f"{name} must be a finite real number, got {value!r}")
+    if above is not None and number <= above:
+        bound = "positive" if above == 0 else f"> {above}"
+        raise DomainError(f"{name} must be {bound}, got {number}")
+    if at_least is not None and number < at_least:
+        bound = "non-negative" if at_least == 0 else f">= {at_least}"
+        raise DomainError(f"{name} must be {bound}, got {number}")
+    return number

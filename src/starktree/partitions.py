@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 
 # Exact DP is quadratic in n; counts this deep are astronomically beyond
 # anything the bifurcation analysis can use, so cap rather than crawl.
@@ -95,9 +95,7 @@ def counting_function(x) -> int:
     counted (pre-jump convention).  The lone zero-hopping ladder state is
     not included; callers wanting the total branch count add 1.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0:
-        raise DomainError(f"ratio must be a finite positive number, got {x}")
+    x = check_real(x, "ratio", above=0)
     top = math.ceil(x) - 1
     if top <= 0:
         return 0

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from starktree import anticontinuum
 from starktree import (
     ConfigurationError,
     DomainError,
@@ -339,3 +340,34 @@ def test_tree_domain():
         bifurcation_tree(-1.0, 4.0)
     with pytest.raises(DomainError):
         bifurcation_tree(0.0, 4.0, samples=1)
+
+
+@pytest.mark.parametrize("x_min, x_max, samples", [
+    (0.0, 12.0, 101), (0.5, 7.3, 97), (3.0, 9.0, 2), (51.0, 52.0, 2),
+])
+def test_tree_sample_count_is_exact(monkeypatch, x_min, x_max, samples):
+    # sum over thresholds n of q(n) times the grid points above n
+    tree = bifurcation_tree(x_min, x_max, samples=samples)
+    total = sum(b.xs.size for b in tree.branches)
+    assert total == sum(q_distinct(n) * int(np.count_nonzero(tree.x_grid > n))
+                        for n in range(math.ceil(x_max)))
+    # the cap admits a tree of exactly its size and refuses one sample less
+    monkeypatch.setattr(anticontinuum, "MAX_TREE_SAMPLES", total)
+    bifurcation_tree(x_min, x_max, samples=samples)
+    monkeypatch.setattr(anticontinuum, "MAX_TREE_SAMPLES", total - 1)
+    with pytest.raises(DomainError, match="cap"):
+        bifurcation_tree(x_min, x_max, samples=samples)
+
+
+def test_tree_refused_before_enumeration(monkeypatch):
+    def enumeration_must_not_run(*args, **kwargs):
+        raise AssertionError("an over-cap tree reached the set enumeration")
+
+    monkeypatch.setattr(anticontinuum, "enumerate_solution_sets",
+                        enumeration_must_not_run)
+    # 4.83M sets and about 541M samples
+    with pytest.raises(DomainError, match="cap"):
+        bifurcation_tree(0.0, 100.0, samples=1001, max_n=100)
+    # thresholds past max_n count no further; the cap still holds up to it
+    with pytest.raises(DomainError, match="cap"):
+        bifurcation_tree(0.0, 4000.0, samples=1001)

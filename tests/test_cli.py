@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from starktree import LatticeParams, SolutionSet, q_distinct
+import starktree
+from starktree import LatticeParams, SolutionSet, anticontinuum, q_distinct
 from starktree.cli import fmt, load_state_vector, main
 
 
@@ -108,6 +113,17 @@ def test_tree_unwritable_path_is_io_error(capsys):
 
 def test_tree_invalid_range(capsys):
     assert run(["tree", "--x-min", "5", "--x-max", "1"]) == 2
+
+
+def test_tree_over_the_sample_cap_exits_2(monkeypatch, capsys):
+    def enumeration_must_not_run(*args, **kwargs):
+        raise AssertionError("an over-cap tree reached the set enumeration")
+
+    monkeypatch.setattr(anticontinuum, "enumerate_solution_sets",
+                        enumeration_must_not_run)
+    # about 97.7M samples over 749,293 sets
+    assert run(["tree", "--x-min", "0", "--x-max", "80", "--max-n", "80"]) == 2
+    assert "cap" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +326,47 @@ def test_evolve_requires_inputs(capsys):
     # about 3.3e8 steps: refused before the trace is allocated
     assert run(["evolve", "--x", "1.5", "--t-end", "1e6"]) == 2
     assert "bytes" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# nu, f and their ratio
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--set", "0,1", "--nu", "1", "--x", "0"],
+    ["evolve", "--x", "0"],
+    ["evolve", "--nu", "1", "--f", "0"],
+])
+def test_zero_ratio_or_tilt_exits_2_without_traceback(argv):
+    # run as a process, so an exception escaping main shows as a traceback
+    src = str(Path(starktree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "starktree.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["state", "--set", "0,1"], ["continue", "--set", "0,1"],
+    ["evolve", "--set", "0,1"], ["evolve"],
+])
+def test_x_with_both_nu_and_f_is_refused(capsys, command):
+    assert run([*command, "--x", "2", "--nu", "0.3", "--f", "0.2"]) == 2
+    assert "not all three" in capsys.readouterr().err
+
+
+def test_two_of_x_nu_f_fix_the_third(tmp_path):
+    out = tmp_path / "state.json"
+    for given, nu, f in ((["--x", "2"], 2.0, 1.0),
+                         (["--x", "2", "--nu", "0.5"], 0.5, 0.25),
+                         (["--x", "2", "--f", "0.5"], 1.0, 0.5),
+                         (["--nu", "1", "--f", "0.5"], 1.0, 0.5)):
+        assert run(["state", "--set", "0,1", *given, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["nu"], payload["f"]) == (nu, f)
 
 
 # ---------------------------------------------------------------------------

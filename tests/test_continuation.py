@@ -220,6 +220,11 @@ def test_newton_rejects_unnormalized_guess():
     bad = replace(st, coefficients=2.0 * st.coefficients)
     with pytest.raises(DomainError):
         newton_solve(bad, p)
+    # a NaN coefficient is bad input, not a singular Jacobian
+    nan_guess = replace(st, coefficients=np.where(st.coefficients != 0.0,
+                                                  st.coefficients, np.nan))
+    with pytest.raises(DomainError, match="normalized"):
+        newton_solve(nan_guess, p)
 
 
 def test_newton_nonconvergence_carries_residual():
