@@ -15,7 +15,6 @@ from .errors import (
     SolverError,
 )
 from .partitions import (
-    DistinctPartition,
     counting_function,
     enumerate_distinct_partitions,
     f_asymptotic,
@@ -66,7 +65,6 @@ __all__ = [
     "Branch",
     "ConfigurationError",
     "ContinuationResult",
-    "DistinctPartition",
     "DomainError",
     "DynamicsTrace",
     "InadmissibleSetError",

@@ -162,7 +162,8 @@ class StationaryState:
 @dataclass(frozen=True)
 class Branch:
     """One bifurcation branch: a set, its birth threshold, and the energy
-    samples mu/f over the grid points strictly above the threshold."""
+    samples mu/f over the grid points strictly above the threshold, `xs`,
+    a view of the tree's x_grid."""
 
     set: SolutionSet
     birth: int
@@ -329,13 +330,20 @@ def enumerate_solution_sets(x, max_n: int = 64) -> list[SolutionSet]:
         )
     out: list[SolutionSet] = []
     for n in range(top + 1):
-        batch = [
-            complementary_set(SolutionSet(part.parts))
-            for part in enumerate_distinct_partitions(n)
-        ]
+        batch = [SolutionSet(tuple(parts[-1] - p for p in parts))
+                 for parts in enumerate_distinct_partitions(n)]
         batch.sort(key=lambda s: (s.cardinality, s.sites))
         out.extend(batch)
     return out
+
+
+def _check_tree_size(n_samples: int, x_min: float, x_max: float):
+    if n_samples > MAX_TREE_SAMPLES:
+        raise DomainError(
+            f"the tree over nu/f in [{x_min}, {x_max}] needs {n_samples} or "
+            f"more branch samples, above the cap of {MAX_TREE_SAMPLES}; "
+            f"narrow the range or use fewer grid samples"
+        )
 
 
 def bifurcation_tree(x_min, x_max, samples: int = 1001,
@@ -344,34 +352,35 @@ def bifurcation_tree(x_min, x_max, samples: int = 1001,
     points inserted exactly.
 
     Each set admissible anywhere in [x_min, x_max] yields a branch sampled
-    strictly above its threshold, where mu/f = x/N + sum(S)/N.  A tree of
-    more than MAX_TREE_SAMPLES samples is refused before any set is
-    enumerated.
+    strictly above its threshold, where mu/f = x/N + sum(S)/N.  Branches
+    come in threshold order, so each samples a suffix of the read-only
+    x_grid that starts no earlier than the one before, and `xs` is a view
+    of that suffix.  A tree of more than MAX_TREE_SAMPLES samples is
+    refused before any set is enumerated.
     """
     x_min = check_real(x_min, "x_min", at_least=0)
     x_max = check_real(x_max, "x_max", above=x_min)
-    samples = check_int(samples, "samples", 2)
+    samples = check_int(samples, "samples", 2, MAX_TREE_SAMPLES + 1)
     max_n = check_int(max_n, "max_n", 1)
+    # refused before the grid is built: the singleton branch samples every
+    # positive integer in range, and every linspace point but x = 0
+    _check_tree_size(math.floor(x_max) - max(math.ceil(x_min), 1) + 1,
+                     x_min, x_max)
     base = np.linspace(x_min, x_max, samples)
     integers = np.arange(math.ceil(x_min), math.floor(x_max) + 1, dtype=float)
     grid = np.unique(np.concatenate([base, integers]))
+    grid.flags.writeable = False
     # q(n) sets are born at each threshold n < x_max, each sampled on the
-    # grid above n.  Thresholds past max_n are refused by the enumeration,
-    # and the count up to MAX_N is far over the cap already.
+    # grid from first[n] on.  Thresholds past max_n are refused by the
+    # enumeration, and the count up to MAX_N is far over the cap already.
     q = _q_table(min(math.ceil(x_max) - 1, max_n, MAX_N))
-    n_samples = sum(q_n * int(np.count_nonzero(grid > n))
-                    for n, q_n in enumerate(q))
-    if n_samples > MAX_TREE_SAMPLES:
-        raise DomainError(
-            f"the tree over nu/f in [{x_min}, {x_max}] needs {n_samples} or "
-            f"more branch samples, above the cap of {MAX_TREE_SAMPLES}; "
-            f"narrow the range or use fewer grid samples"
-        )
-    sets = enumerate_solution_sets(x_max, max_n=max_n)
+    first = np.searchsorted(grid, np.arange(len(q)), side="right")
+    _check_tree_size(sum(q_n * (grid.size - int(k)) for q_n, k in zip(q, first)),
+                     x_min, x_max)
     branches = []
-    for sset in sets:
+    for sset in enumerate_solution_sets(x_max, max_n=max_n):
         birth = birth_threshold(sset)
-        xs = grid[grid > birth]
+        xs = grid[first[birth]:]
         n = sset.cardinality
         mu_over_f = xs / n + sum(sset.sites) / n
         branches.append(Branch(set=sset, birth=birth, xs=xs, mu_over_f=mu_over_f))

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+from bisect import bisect_right
 
 import numpy as np
 
@@ -162,14 +163,16 @@ def cmd_tree(args: argparse.Namespace) -> int:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["x", "branch_id", "set", "mu_over_f", "n_modes", "birth_x"])
-        # a branch samples the suffix of the grid above its birth threshold
+        # branch i samples the grid from first[i] on; first is non-decreasing,
+        # so the branches live at grid point k are a prefix of the list
         first = [tree.x_grid.size - b.xs.size for b in tree.branches]
         for k, x in enumerate(tree.x_grid):
-            for i, branch in enumerate(tree.branches):
-                if k >= first[i]:
-                    writer.writerow([fmt(x), i, set_labels[i],
-                                     fmt(branch.mu_over_f[k - first[i]]),
-                                     branch.set.cardinality, fmt(branch.birth)])
+            x_text = fmt(x)
+            for i in range(bisect_right(first, k)):
+                branch = tree.branches[i]
+                writer.writerow([x_text, i, set_labels[i],
+                                 fmt(branch.mu_over_f[k - first[i]]),
+                                 branch.set.cardinality, fmt(branch.birth)])
         text = buffer.getvalue()
     _emit(args.out, text)
     return EXIT_OK
@@ -266,7 +269,11 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
         params = LatticeParams(nu=payload["nu"], f=payload["f"],
                                beta=payload["beta"], window=(lo, hi))
         vector = np.zeros(hi - lo + 1, dtype=complex)
-        for site, value in payload["coefficients"].items():
+        coefficients = payload["coefficients"]
+        if not isinstance(coefficients, dict):
+            raise DomainError("coefficients must be an object keyed by site, "
+                              f"got {type(coefficients).__name__}")
+        for site, value in coefficients.items():
             if not lo <= int(site) <= hi:
                 raise DomainError(f"site {site} outside window [{lo}, {hi}]")
             vector[int(site) - lo] = value

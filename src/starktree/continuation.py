@@ -37,6 +37,10 @@ NEWTON_MAX_ITER = 50
 # mu/f closer than this to an empty integer rung counts as resonant.
 RESONANCE_TOL = 1e-9
 
+# Largest number of beta steps one continuation may take; 20,000 steps of
+# a two-site set take a few seconds, so larger requests are refused.
+MAX_CONTINUATION_STEPS = 10_000
+
 
 @dataclass
 class ContinuationResult:
@@ -204,7 +208,7 @@ def continue_in_beta(sset: SolutionSet, params: LatticeParams, beta_target,
     A failed step raises SolverError carrying the path walked so far.
     """
     beta_target = check_real(beta_target, "beta_target", at_least=0)
-    steps = check_int(steps, "steps", 1)
+    steps = check_int(steps, "steps", 1, MAX_CONTINUATION_STEPS)
     tol = check_real(tol, "tolerance", above=0)
     base_params = replace(params, beta=0.0)
     state = build_state(sset, base_params, signs=signs)

@@ -11,41 +11,12 @@ asymptotics of Q and of its running sum F.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, check_int, check_real
 
 # Exact DP is quadratic in n; counts this deep are astronomically beyond
 # anything the bifurcation analysis can use, so cap rather than crawl.
 MAX_N = 5000
-
-
-@dataclass(frozen=True)
-class DistinctPartition:
-    """A set of distinct non-negative integers anchored at 0.
-
-    The positive parts form a partition of ``sum`` into distinct parts; the
-    mandatory 0 makes the set directly usable as a complementary set of a
-    solution set.
-    """
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.parts or self.parts[0] != 0:
-            raise DomainError("partition parts must start at 0")
-        if any(b <= a for a, b in zip(self.parts, self.parts[1:])):
-            raise DomainError("partition parts must be strictly increasing")
-
-    @property
-    def sum(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
 
 
 def _q_table(nmax: int) -> list[int]:
@@ -68,23 +39,24 @@ def q_distinct(n) -> int:
     return _q_table(n)[n]
 
 
-def enumerate_distinct_partitions(n) -> list[DistinctPartition]:
+def enumerate_distinct_partitions(n) -> list[tuple[int, ...]]:
     """All zero-anchored distinct partitions with the given sum.
 
-    Returned in lexicographic order on the part tuples, so for n = 3 the
-    list is [{0,1,2}, {0,3}].  Length equals q_distinct(n).
+    Each is a strictly increasing tuple that starts at 0, returned in
+    lexicographic order, so for n = 3 the list is [(0, 1, 2), (0, 3)].
+    Length equals q_distinct(n).
     """
     n = check_int(n, "partition size", 0, MAX_N)
-    out: list[DistinctPartition] = []
+    out: list[tuple[int, ...]] = []
 
-    def extend(prefix: tuple[int, ...], remaining: int, smallest: int):
+    def extend(parts: tuple[int, ...], remaining: int, smallest: int):
         if remaining == 0:
-            out.append(DistinctPartition((0, *prefix)))
+            out.append(parts)
             return
         for part in range(smallest, remaining + 1):
-            extend(prefix + (part,), remaining - part, part + 1)
+            extend(parts + (part,), remaining - part, part + 1)
 
-    extend((), n, 1)
+    extend((0,), n, 1)
     return out
 
 

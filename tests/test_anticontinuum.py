@@ -309,6 +309,21 @@ def test_tree_samples_strictly_above_birth_and_exact_energies():
         assert np.array_equal(branch.mu_over_f, expected)
 
 
+def test_tree_branches_are_views_of_a_read_only_grid():
+    tree = bifurcation_tree(0.5, 8.5, samples=257)
+    assert not tree.x_grid.flags.writeable
+    with pytest.raises(ValueError):
+        tree.x_grid[0] = 1.0
+    firsts = []
+    for branch in tree.branches:
+        assert np.shares_memory(branch.xs, tree.x_grid)
+        first = tree.x_grid.size - branch.xs.size
+        assert np.array_equal(branch.xs, tree.x_grid[first:])
+        firsts.append(first)
+    # branches come in threshold order: live ones form a prefix at every x
+    assert firsts == sorted(firsts)
+
+
 def test_tree_consecutive_family_births():
     # range past 10 so the five-mode branch (born exactly at 10) exists
     tree = bifurcation_tree(0.0, 10.5, samples=101)

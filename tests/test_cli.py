@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import starktree
-from starktree import LatticeParams, SolutionSet, anticontinuum, q_distinct
+from starktree import (LatticeParams, SolutionSet, anticontinuum,
+                       continuation, q_distinct)
 from starktree.cli import fmt, load_state_vector, main
 
 
@@ -126,6 +127,22 @@ def test_tree_over_the_sample_cap_exits_2(monkeypatch, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tree", "--x-min", "0", "--x-max", "10", "--samples", "10000000000"],
+     "samples must be <="),
+    (["tree", "--x-min", "0", "--x-max", "1e12"], "cap"),
+])
+def test_tree_over_the_cap_is_refused_before_the_grid(monkeypatch, capsys,
+                                                      argv, message):
+    def grid_must_not_be_built(*args, **kwargs):
+        raise AssertionError("an over-cap tree reached the grid allocation")
+
+    monkeypatch.setattr(np, "linspace", grid_must_not_be_built)
+    monkeypatch.setattr(np, "arange", grid_must_not_be_built)
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # state
 
@@ -227,6 +244,16 @@ def test_continue_emits_path(tmp_path):
     assert payload["certificate"] > 0
 
 
+def test_continue_refuses_runaway_step_count(monkeypatch, capsys):
+    def newton_must_not_run(*args, **kwargs):
+        raise AssertionError("an over-long continuation reached Newton")
+
+    monkeypatch.setattr(continuation, "_newton", newton_must_not_run)
+    assert run(["continue", "--set", "0,1", "--x", "1.5", "--beta", "0.01",
+                "--steps", "1000000000"]) == 2
+    assert "steps must be <=" in capsys.readouterr().err
+
+
 def test_continue_failure_writes_partial_path(tmp_path, capsys):
     out = tmp_path / "cont.json"
     assert run(["continue", "--set", "0", "--nu", "0.5", "--f", "1.0",
@@ -307,13 +334,14 @@ def test_evolve_initial_file_runs(tmp_path):
     ("9", 0.8, "outside window"),
     ("-2", 0.8, "outside window"),
     ("1", math.nan, "normalized"),  # json writes and reads NaN
+    (None, [0.6, 0.8], "keyed by site"),  # a list instead of an object
 ])
 def test_evolve_initial_refuses_bad_coefficients(tmp_path, capsys, site,
                                                  value, message):
     state_path = tmp_path / "state.json"
     state_path.write_text(json.dumps({
         "nu": 2.0, "f": 1.0, "beta": 0.0, "window": [0, 5],
-        "coefficients": {"0": 0.6, site: value},
+        "coefficients": value if site is None else {"0": 0.6, site: value},
     }))
     assert run(["evolve", "--initial", str(state_path)]) == 2
     assert message in capsys.readouterr().err

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from starktree import continuation
 from starktree import (
     ConfigurationError,
     DomainError,
@@ -311,6 +312,21 @@ def test_continuation_refuses_resonant_set():
     p = params_for(S0, 1.0)
     with pytest.raises(ResonanceError):
         continue_in_beta(S0, p, 0.01)
+
+
+def test_continuation_step_count_is_bounded(monkeypatch):
+    def newton_must_not_run(*args, **kwargs):
+        raise AssertionError("an over-long continuation reached Newton")
+
+    p = params_for(S01, 1.5)
+    monkeypatch.setattr(continuation, "_newton", newton_must_not_run)
+    for steps in (continuation.MAX_CONTINUATION_STEPS + 1, 10 ** 9):
+        with pytest.raises(DomainError, match="steps"):
+            continue_in_beta(S01, p, 0.01, steps=steps)
+    monkeypatch.undo()
+    result = continue_in_beta(S01, p, 1e-6,
+                              steps=continuation.MAX_CONTINUATION_STEPS)
+    assert len(result.path) == continuation.MAX_CONTINUATION_STEPS + 1
 
 
 def test_continuation_failure_carries_partial_path():

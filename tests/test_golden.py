@@ -8,7 +8,8 @@ change that must be explained, not a tolerance to widen.  The one such
 change so far: state_beta, continue_ok, continue_random and
 continue_failed were re-recorded when the resolved sign pattern was
 written after continuation too; their JSON differs from the earlier
-output only in its "signs" entry.
+output only in its "signs" entry.  tree_live_first was recorded from the
+code before the tree writer visited only the live branches of each x.
 
 `{out}` in an argv is replaced by a path in a fresh directory; `evolve`
 with `--out X.csv` also writes `X.json`, which is digested as `out.json`.
@@ -36,6 +37,9 @@ CASES = {
                  "--out", "{out}"],
     "tree_json": ["tree", "--x-min", "0", "--x-max", "12", "--samples", "101",
                   "--format", "json"],
+    # the first grid point already has live branches
+    "tree_live_first": ["tree", "--x-min", "2.5", "--x-max", "9", "--samples", "7",
+                        "--out", "{out}"],
     "state_signs": ["state", "--set", "0,1,3", "--x", "7.5", "--signs=+-+"],
     "state_beta": ["state", "--set", "0,1", "--x", "1.5", "--beta", "0.02",
                    "--out", "{out}"],
@@ -148,6 +152,13 @@ GOLDEN = {
         "rc": 0,
         "stdout":
             "d82e7beb71fad8fbd805243fe28941e7c4fc2c6cee78a5f5ec229dda9ce32c97",
+    },
+    "tree_live_first": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "fee519fd641a049283398d77b1282b1a621f548adf2c105d08bad274097c012f",
     },
 }
 

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from starktree import (
-    DistinctPartition,
     DomainError,
     counting_function,
     enumerate_distinct_partitions,
@@ -78,9 +77,9 @@ def test_q_distinct_domain():
 
 
 def test_enumeration_reference_lists():
-    assert [p.parts for p in enumerate_distinct_partitions(1)] == [(0, 1)]
-    assert [p.parts for p in enumerate_distinct_partitions(3)] == [(0, 1, 2), (0, 3)]
-    assert [p.parts for p in enumerate_distinct_partitions(0)] == [(0,)]
+    assert enumerate_distinct_partitions(1) == [(0, 1)]
+    assert enumerate_distinct_partitions(3) == [(0, 1, 2), (0, 3)]
+    assert enumerate_distinct_partitions(0) == [(0,)]
 
 
 def test_enumeration_structure_to_60():
@@ -89,29 +88,22 @@ def test_enumeration_structure_to_60():
         assert len(parts_list) == q_distinct(n)
         seen = set()
         for p in parts_list:
-            assert p.parts[0] == 0
-            assert all(b > a for a, b in zip(p.parts, p.parts[1:]))
-            assert p.sum == n
-            seen.add(p.parts)
+            assert p[0] == 0
+            assert all(b > a for a, b in zip(p, p[1:]))
+            assert sum(p) == n
+            seen.add(p)
         assert len(seen) == len(parts_list)
 
 
 def test_enumeration_is_lexicographic():
     for n in (5, 12, 25):
-        parts = [p.parts for p in enumerate_distinct_partitions(n)]
+        parts = enumerate_distinct_partitions(n)
         assert parts == sorted(parts)
 
 
 def test_enumeration_count_only_to_100():
     for n in range(61, 101, 13):
         assert len(enumerate_distinct_partitions(n)) == q_distinct(n)
-
-
-def test_distinct_partition_validation():
-    with pytest.raises(DomainError):
-        DistinctPartition((1, 2))  # missing the 0 anchor
-    with pytest.raises(DomainError):
-        DistinctPartition((0, 2, 2))
 
 
 # ---------------------------------------------------------------------------
