@@ -33,6 +33,11 @@ NORMALIZATION_TOL = 1e-12
 # requests are refused before any set is enumerated.
 MAX_TREE_SAMPLES = 1 << 25
 
+# Most sites one lattice window may hold; the dense (W+1)^2 continuation
+# Jacobian is then 134 MB.  Wider windows are refused before any vector is
+# allocated.
+MAX_WINDOW_SITES = 1 << 12
+
 
 @dataclass(frozen=True)
 class SolutionSet:
@@ -91,6 +96,11 @@ class LatticeParams:
         lo, hi = (check_int(v, "window bound") for v in self.window)
         if lo >= hi:
             raise ConfigurationError(f"window must satisfy lo < hi, got ({lo}, {hi})")
+        if hi - lo + 1 > MAX_WINDOW_SITES:
+            raise DomainError(
+                f"window ({lo}, {hi}) holds {hi - lo + 1} sites, above the cap "
+                f"of {MAX_WINDOW_SITES}"
+            )
         object.__setattr__(self, "window", (lo, hi))
 
     @property
@@ -110,7 +120,9 @@ class LatticeParams:
 
     def hopping(self, c: np.ndarray) -> np.ndarray:
         """Hopping term -beta (c_{l+1} + c_{l-1} + 2 c_l) of the lattice
-        operator, shared by the stationary and the time-dependent equation.
+        operator.  The stationary residual calls it; `dynamics.evolve` folds
+        the same stencil into its RK4 increment, and a test holds the two
+        equal.
 
         Dirichlet window ends: neighbours outside the window are zero.
         """

@@ -347,6 +347,47 @@ def test_evolve_initial_refuses_bad_coefficients(tmp_path, capsys, site,
     assert message in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_large_zeros(monkeypatch):
+    """np.zeros fails for anything larger than the window cap."""
+    zeros = np.zeros
+
+    def capped_zeros(shape, *args, **kwargs):
+        if np.prod(shape) > anticontinuum.MAX_WINDOW_SITES:
+            raise AssertionError(f"np.zeros asked for {shape} entries")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", capped_zeros)
+
+
+def test_window_over_the_cap_exits_2_before_allocating(tmp_path, capsys,
+                                                        no_large_zeros):
+    # admissible (threshold 1e9), but a window of 1e9 sites
+    assert run(["state", "--set", "0,1000000000", "--x", "2e9"]) == 2
+    assert "cap" in capsys.readouterr().err
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({
+        "nu": 2.0, "f": 1.0, "beta": 0.0, "window": [0, 1000000000],
+        "coefficients": {"0": 1.0},
+    }))
+    assert run(["evolve", "--initial", str(state_path)]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_window_of_exactly_the_cap_is_admitted(tmp_path, capsys,
+                                               no_large_zeros):
+    cap = anticontinuum.MAX_WINDOW_SITES
+    # the default window pads the support by 5 sites on each side
+    last = cap - 2 * anticontinuum.DEFAULT_WINDOW_MARGIN - 1
+    out = tmp_path / "state.json"
+    assert run(["state", "--set", f"0,{last}", "--x", str(last + 1),
+                "--out", str(out)]) == 0
+    lo, hi = json.loads(out.read_text())["window"]
+    assert hi - lo + 1 == cap
+    assert run(["state", "--set", f"0,{last + 1}", "--x", str(last + 2)]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
 def test_evolve_requires_inputs(capsys):
     assert run(["evolve"]) == 2
     assert run(["evolve", "--set", "0,a", "--x", "1.5"]) == 2

@@ -184,6 +184,29 @@ def test_integrator_fourth_order():
     assert 12.0 < e_coarse / e_fine < 20.0
 
 
+def test_evolve_step_is_rk4_on_the_lattice_operator():
+    # one step of evolve against a textbook RK4 step written with
+    # LatticeParams.hopping, the operator continuation also uses
+    rng = np.random.default_rng(4)
+    p = LatticeParams(nu=1.5, f=0.7, beta=0.1, window=WINDOW)
+    c0 = rng.normal(size=p.window_size) + 1j * rng.normal(size=p.window_size)
+    c0 /= np.linalg.norm(c0)
+    sites = p.window_sites
+
+    def rhs(c):
+        return 1j / p.f * (p.hopping(c) + p.nu * np.abs(c) ** 2 * c
+                           + p.f * sites * c)
+
+    dt = 0.01
+    k1 = rhs(c0)
+    k2 = rhs(c0 + 0.5 * dt * k1)
+    k3 = rhs(c0 + 0.5 * dt * k2)
+    k4 = rhs(c0 + dt * k3)
+    expected = c0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    step = evolve(c0, p, t_end=dt, dt=dt).states[1]
+    assert np.max(np.abs(step - expected)) < 1e-14
+
+
 def test_evolve_validation():
     p = beating_params(1.5)
     good = superposition_state(1.5, 0, p)
