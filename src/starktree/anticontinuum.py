@@ -11,6 +11,7 @@ states, and assembles the bifurcation tree of energies over nu/f.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from .errors import (ConfigurationError, DomainError, InadmissibleSetError,
                      check_int, check_real)
-from .partitions import MAX_N, _q_table, enumerate_distinct_partitions
+from .partitions import (MAX_ENUMERATION, MAX_N, _q_table, counting_function,
+                         enumerate_distinct_partitions)
 
 # Margin giving finite-hopping tails below 1e-12 for the beta ranges the
 # continuation targets (beta' <= 0.05).
@@ -32,6 +34,13 @@ NORMALIZATION_TOL = 1e-12
 # Largest number of (x, mu/f) samples one bifurcation tree may hold; larger
 # requests are refused before any set is enumerated.
 MAX_TREE_SAMPLES = 1 << 25
+
+# Most energy samples in one block of branches born at the same threshold:
+# 8 KB, about one branch of a 1001-point grid.  Blocks of a whole threshold
+# (up to 200 KB) or of 64 KB fragmented the heap over repeated tree calls and
+# raised peak RSS by about 6 MB; blocks this small allocate like the arrays
+# of single branches.
+MAX_BLOCK_SAMPLES = 1 << 10
 
 # Most sites one lattice window may hold; the dense (W+1)^2 continuation
 # Jacobian is then 134 MB.  Wider windows are refused before any vector is
@@ -331,7 +340,8 @@ def enumerate_solution_sets(x, max_n: int = 64) -> list[SolutionSet]:
     is counting_function(x) + 1.
 
     max_n caps the threshold integers visited; x beyond max_n + 1 raises
-    rather than silently dropping branches.
+    rather than silently dropping branches.  More than MAX_ENUMERATION sets
+    are refused before any is built.
     """
     x = check_real(x, "ratio", above=0)
     max_n = check_int(max_n, "max_n", 1)
@@ -339,6 +349,12 @@ def enumerate_solution_sets(x, max_n: int = 64) -> list[SolutionSet]:
     if top > max_n:
         raise DomainError(
             f"ratio {x} admits birth thresholds up to {top}; raise max_n ({max_n})"
+        )
+    count = counting_function(x) + 1
+    if count > MAX_ENUMERATION:
+        raise DomainError(
+            f"ratio {x} admits {count} solution sets, above the enumeration "
+            f"cap of {MAX_ENUMERATION}"
         )
     out: list[SolutionSet] = []
     for n in range(top + 1):
@@ -367,8 +383,11 @@ def bifurcation_tree(x_min, x_max, samples: int = 1001,
     strictly above its threshold, where mu/f = x/N + sum(S)/N.  Branches
     come in threshold order, so each samples a suffix of the read-only
     x_grid that starts no earlier than the one before, and `xs` is a view
-    of that suffix.  A tree of more than MAX_TREE_SAMPLES samples is
-    refused before any set is enumerated.
+    of that suffix.  The branches born at one threshold share `xs`, and
+    their energies are the rows of (branches, samples) blocks of at most
+    MAX_BLOCK_SAMPLES samples (one row when `xs` is longer).  A tree of
+    more than MAX_TREE_SAMPLES samples is refused before any set is
+    enumerated.
     """
     x_min = check_real(x_min, "x_min", at_least=0)
     x_max = check_real(x_max, "x_max", above=x_min)
@@ -390,10 +409,21 @@ def bifurcation_tree(x_min, x_max, samples: int = 1001,
     _check_tree_size(sum(q_n * (grid.size - int(k)) for q_n, k in zip(q, first)),
                      x_min, x_max)
     branches = []
-    for sset in enumerate_solution_sets(x_max, max_n=max_n):
-        birth = birth_threshold(sset)
+    sets = enumerate_solution_sets(x_max, max_n=max_n)
+    for birth, born in itertools.groupby(sets, key=birth_threshold):
+        born = list(born)
         xs = grid[first[birth]:]
-        n = sset.cardinality
-        mu_over_f = xs / n + sum(sset.sites) / n
-        branches.append(Branch(set=sset, birth=birth, xs=xs, mu_over_f=mu_over_f))
+        rows = max(1, MAX_BLOCK_SAMPLES // xs.size)
+        for lo in range(0, len(born), rows):
+            batch = born[lo:lo + rows]
+            n = np.array([sset.cardinality for sset in batch],
+                         dtype=float)[:, None]
+            sums = np.array([sum(sset.sites) for sset in batch],
+                            dtype=float)[:, None]
+            # sum(S) and N are exact floats, so each row is xs / N + sum(S) / N
+            # bit for bit; the in-place add allocates the block once
+            mus = xs / n
+            mus += sums / n
+            branches.extend(Branch(set=sset, birth=birth, xs=xs, mu_over_f=mu)
+                            for sset, mu in zip(batch, mus))
     return BifurcationTree(branches=branches, x_grid=grid)

@@ -3,9 +3,11 @@
 Every multi-site stationary branch of the tilted lattice is born when nu/f
 crosses a positive integer n, and the number born at n is Q(n), the number
 of ways to write n as a sum of distinct positive integers.  This module
-provides the exact counts, the explicit partition lists in the zero-anchored
-set form used by the solution-set enumeration, and the classical exponential
-asymptotics of Q and of its running sum F.
+provides the exact counts, from the recurrence that Gauss's identity and
+Euler's pentagonal theorem give (O(n^1.5) exact integer work), the explicit
+partition lists in the zero-anchored set form used by the solution-set
+enumeration, capped at MAX_ENUMERATION entries, and the classical
+exponential asymptotics of Q and of its running sum F.
 """
 
 from __future__ import annotations
@@ -14,22 +16,48 @@ import math
 
 from .errors import DomainError, check_int, check_real
 
-# Exact DP is quadratic in n; counts this deep are astronomically beyond
-# anything the bifurcation analysis can use, so cap rather than crawl.
+# The exact counts cost O(n^1.5) integer additions, but counts this deep are
+# astronomically beyond anything the bifurcation analysis can use, so cap.
 MAX_N = 5000
+
+# Most partitions or solution sets one enumeration may return; larger lists
+# are refused from their exact count, before any entry is built.
+MAX_ENUMERATION = 1 << 20
+
+# Largest argument of the asymptotics: exp(pi sqrt(n/3)) is finite in IEEE
+# double precision up to here and overflows from the next integer on.
+MAX_ASYMPTOTIC_N = 153134
 
 
 def _q_table(nmax: int) -> list[int]:
     """q[m] for m = 0..nmax: partitions of m into distinct positive parts.
 
-    0/1-knapsack DP over the largest allowed part, exact integers.  Built
-    per call so concurrent callers never share mutable state.
+    Multiplying prod(1 + x^k) by the theta series 1 + 2 sum_k (-1)^k x^(k^2)
+    gives Euler's pentagonal series (Gauss), so
+    q(m) = e(m) + 2 sum_{k >= 1, k^2 <= m} (-1)^(k+1) q(m - k^2), where
+    e(m) = (-1)^j at the generalized pentagonal numbers m = j(3j-1)/2 and 0
+    elsewhere.  Exact integers, O(nmax^1.5).  Built per call so concurrent
+    callers never share mutable state.
     """
     q = [0] * (nmax + 1)
-    q[0] = 1
-    for part in range(1, nmax + 1):
-        for total in range(nmax, part - 1, -1):
-            q[total] += q[total - part]
+    # e(m), with j and -j visited together
+    j = 0
+    while j * (3 * j - 1) // 2 <= nmax:
+        sign = -1 if j % 2 else 1
+        q[j * (3 * j - 1) // 2] = sign
+        if j * (3 * j + 1) // 2 <= nmax:
+            q[j * (3 * j + 1) // 2] = sign
+        j += 1
+    squares = [k * k for k in range(1, math.isqrt(nmax) + 1)]
+    for m in range(1, nmax + 1):
+        acc = 0
+        sign = 2
+        for square in squares:
+            if square > m:
+                break
+            acc += sign * q[m - square]
+            sign = -sign
+        q[m] += acc
     return q
 
 
@@ -44,17 +72,28 @@ def enumerate_distinct_partitions(n) -> list[tuple[int, ...]]:
 
     Each is a strictly increasing tuple that starts at 0, returned in
     lexicographic order, so for n = 3 the list is [(0, 1, 2), (0, 3)].
-    Length equals q_distinct(n).
+    Length equals q_distinct(n); an n with more than MAX_ENUMERATION
+    partitions is refused before any is built.
     """
     n = check_int(n, "partition size", 0, MAX_N)
+    count = _q_table(n)[n]
+    if count > MAX_ENUMERATION:
+        raise DomainError(
+            f"partition size {n} has {count} distinct partitions, above the "
+            f"enumeration cap of {MAX_ENUMERATION}"
+        )
+    if n == 0:
+        return [(0,)]
     out: list[tuple[int, ...]] = []
 
     def extend(parts: tuple[int, ...], remaining: int, smallest: int):
-        if remaining == 0:
-            out.append(parts)
-            return
-        for part in range(smallest, remaining + 1):
+        # a part followed by more parts leaves remaining - part >= part + 1,
+        # so only parts up to (remaining - 1) // 2 are worth recursing on;
+        # the lone last part, remaining itself, sorts after all of them
+        for part in range(smallest, (remaining - 1) // 2 + 1):
             extend(parts + (part,), remaining - part, part + 1)
+        if remaining >= smallest:
+            out.append(parts + (remaining,))
 
     extend((0,), n, 1)
     return out
@@ -79,11 +118,11 @@ def counting_function(x) -> int:
 
 def q_asymptotic(n) -> float:
     """Exponential asymptotic of q_distinct: exp(pi sqrt(n/3)) / (4 3^(1/4) n^(3/4))."""
-    n = check_int(n, "asymptotic argument", 1)
+    n = check_int(n, "asymptotic argument", 1, MAX_ASYMPTOTIC_N)
     return math.exp(math.pi * math.sqrt(n / 3.0)) / (4.0 * 3.0 ** 0.25 * n ** 0.75)
 
 
 def f_asymptotic(n) -> float:
     """Exponential asymptotic of the running sum: exp(pi sqrt(n/3)) / (2 pi (n/3)^(1/4))."""
-    n = check_int(n, "asymptotic argument", 1)
+    n = check_int(n, "asymptotic argument", 1, MAX_ASYMPTOTIC_N)
     return math.exp(math.pi * math.sqrt(n / 3.0)) / (2.0 * math.pi * (n / 3.0) ** 0.25)

@@ -237,8 +237,8 @@ def test_criterion_6_continuation_soundness():
 
 def test_criterion_7_beating_periods():
     with criterion(7, "superposition at nu/f = 3/2, nu = 0.05: peaks within "
-                      "two bins of 5/4 and 1/4, drifts below 1e-9/1e-8, "
-                      "< 30 s"):
+                      "two bins of 5/4, 1/4 and the Bloch line 1, drifts "
+                      "below 1e-9/1e-8, < 30 s"):
         start = time.perf_counter()
         x, nu = 1.5, 0.05
         params = LatticeParams(nu=nu, f=nu / x, beta=0.0, window=(-6, 6))
@@ -250,7 +250,7 @@ def test_criterion_7_beating_periods():
         assert 2.0 * math.pi / t2 == pytest.approx(0.25, rel=1e-15)
         bin_width = 2.0 * math.pi / (trace.times.size * trace.dt)
         freqs = [f for f, _ in peaks]
-        for expected in (1.25, 0.25):
+        for expected in (1.25, 0.25, 1.0):
             assert min(abs(f - expected) for f in freqs) <= 2.0 * bin_width
         assert trace.norm_drift < 1e-9
         assert trace.energy_drift < 1e-8

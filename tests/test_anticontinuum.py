@@ -271,6 +271,24 @@ def test_enumerate_max_n_guard():
         enumerate_solution_sets(3.0, max_n=0)
 
 
+def test_enumerate_refused_above_the_cap(monkeypatch):
+    def partitions_must_not_run(*args, **kwargs):
+        raise AssertionError("an over-cap enumeration reached the partitions")
+
+    monkeypatch.setattr(anticontinuum, "enumerate_distinct_partitions",
+                        partitions_must_not_run)
+    # F(124) + 1 = 35,998,808 sets
+    with pytest.raises(DomainError, match="cap"):
+        enumerate_solution_sets(124, max_n=200)
+
+
+def test_enumerate_of_exactly_the_cap_is_admitted(monkeypatch):
+    monkeypatch.setattr(anticontinuum, "MAX_ENUMERATION", counting_function(10) + 1)
+    assert len(enumerate_solution_sets(10.0)) == counting_function(10) + 1
+    with pytest.raises(DomainError, match="cap"):
+        enumerate_solution_sets(10.5)
+
+
 # ---------------------------------------------------------------------------
 # bifurcation tree
 
@@ -307,6 +325,21 @@ def test_tree_samples_strictly_above_birth_and_exact_energies():
         n = branch.set.cardinality
         expected = branch.xs / n + sum(branch.set.sites) / n
         assert np.array_equal(branch.mu_over_f, expected)
+
+
+@pytest.mark.parametrize("block", [anticontinuum.MAX_BLOCK_SAMPLES, 1000, 7])
+def test_tree_energies_per_threshold_block_are_exact(monkeypatch, block):
+    monkeypatch.setattr(anticontinuum, "MAX_BLOCK_SAMPLES", block)
+    tree = bifurcation_tree(0.0, 20.0, samples=1001)
+    assert len(tree.branches) == counting_function(20) + 1
+    for branch in tree.branches:
+        n = branch.set.cardinality
+        expected = branch.xs / n + sum(branch.set.sites) / n
+        assert np.array_equal(branch.mu_over_f, expected)
+        # a row of a block of at most `block` samples, or a lone row
+        rows, width = branch.mu_over_f.base.shape
+        assert width == branch.xs.size
+        assert rows == 1 or rows * width <= block
 
 
 def test_tree_branches_are_views_of_a_read_only_grid():

@@ -127,6 +127,19 @@ def test_tree_over_the_sample_cap_exits_2(monkeypatch, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_tree_over_the_enumeration_cap_exits_2(monkeypatch, capsys):
+    def partitions_must_not_run(*args, **kwargs):
+        raise AssertionError("an over-cap tree reached the partitions")
+
+    monkeypatch.setattr(anticontinuum, "enumerate_distinct_partitions",
+                        partitions_must_not_run)
+    # 22,884,026 samples pass the sample cap, but over F(110) + 1 =
+    # 11,442,013 sets
+    assert run(["tree", "--x-min", "109.5", "--x-max", "110", "--samples", "2",
+                "--max-n", "200"]) == 2
+    assert "enumeration cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["tree", "--x-min", "0", "--x-max", "10", "--samples", "10000000000"],
      "samples must be <="),

@@ -317,22 +317,6 @@ def test_spectrum_short_trace_rejected():
         spectrum(trace, 0)
 
 
-def test_simulated_beating_matches_predictions_two_bins():
-    x = 1.5
-    p = beating_params(x)
-    trace = beating_trace(x, 0, p, t_end=20.0 * BLOCH_PERIOD)
-    assert trace.norm_drift < 1e-9
-    assert trace.energy_drift < 1e-8
-    peaks = spectrum(trace, 0)
-    bin_width = 2.0 * math.pi / (trace.times.size * trace.dt)
-    freqs = [f for f, _ in peaks]
-    _, t1, t2 = beat_periods(x)
-    for expected in (2.0 * math.pi / t1, 2.0 * math.pi / t2):
-        assert min(abs(f - expected) for f in freqs) <= 2.0 * bin_width
-    # the Bloch line is there as well
-    assert min(abs(f - 1.0) for f in freqs) <= 2.0 * bin_width
-
-
 def test_beating_trace_around_other_wells():
     x = 2.5
     nu = 0.05

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import pytest
 
+from starktree import partitions
 from starktree import (
     DomainError,
     counting_function,
@@ -23,6 +25,27 @@ def brute_force_distinct_count(n):
         return sum(go(remaining - p, p + 1)
                    for p in range(smallest, remaining + 1))
     return go(n, 1) if n > 0 else 1
+
+
+def knapsack_distinct_table(nmax):
+    """q(0..nmax) by the 0/1 knapsack over the largest allowed part, O(n^2)."""
+    q = [0] * (nmax + 1)
+    q[0] = 1
+    for part in range(1, nmax + 1):
+        for total in range(nmax, part - 1, -1):
+            q[total] += q[total - part]
+    return q
+
+
+def brute_force_partition_list(n):
+    """Zero-anchored distinct partitions of n from subsets of 1..n, sorted."""
+    found = []
+    r = 0
+    while r * (r + 1) // 2 <= n:  # r distinct parts sum to at least this
+        found += [(0,) + c for c in itertools.combinations(range(1, n + 1), r)
+                  if sum(c) == n]
+        r += 1
+    return sorted(found)
 
 
 def odd_parts_count(n):
@@ -61,6 +84,10 @@ def test_q_distinct_euler_identity_to_100():
 def test_q_distinct_frozen_large_value():
     # verified once against the odd-parts oracle, kept as a regression pin
     assert q_distinct(100) == odd_parts_count(100) == 444793
+
+
+def test_q_table_matches_knapsack_to_1500():
+    assert partitions._q_table(1500) == knapsack_distinct_table(1500)
 
 
 def test_q_distinct_domain():
@@ -104,6 +131,26 @@ def test_enumeration_is_lexicographic():
 def test_enumeration_count_only_to_100():
     for n in range(61, 101, 13):
         assert len(enumerate_distinct_partitions(n)) == q_distinct(n)
+
+
+def test_enumeration_matches_brute_force_in_order_to_25():
+    for n in range(26):
+        assert enumerate_distinct_partitions(n) == brute_force_partition_list(n), n
+
+
+def test_enumeration_cap():
+    # q(111) = 1,087,744 is the first count above 2^20
+    assert q_distinct(110) <= partitions.MAX_ENUMERATION < q_distinct(111)
+    for n in (111, 5000):
+        with pytest.raises(DomainError, match="cap"):
+            enumerate_distinct_partitions(n)
+
+
+def test_enumeration_of_exactly_the_cap_is_admitted(monkeypatch):
+    monkeypatch.setattr(partitions, "MAX_ENUMERATION", q_distinct(20))
+    assert len(enumerate_distinct_partitions(20)) == q_distinct(20)
+    with pytest.raises(DomainError, match="cap"):
+        enumerate_distinct_partitions(21)
 
 
 # ---------------------------------------------------------------------------
@@ -173,3 +220,16 @@ def test_asymptotic_domain():
             fn(0)
         with pytest.raises(DomainError):
             fn(-3)
+
+
+def test_asymptotic_upper_bound():
+    bound = partitions.MAX_ASYMPTOTIC_N
+    # the bound is the last n before exp(pi sqrt(n/3)) overflows
+    math.exp(math.pi * math.sqrt(bound / 3.0))
+    with pytest.raises(OverflowError):
+        math.exp(math.pi * math.sqrt((bound + 1) / 3.0))
+    for fn in (q_asymptotic, f_asymptotic):
+        assert math.isfinite(fn(bound))
+        for too_large in (bound + 1, 160_000, 10 ** 6, 10 ** 400):
+            with pytest.raises(DomainError):
+                fn(too_large)
