@@ -4,20 +4,21 @@ Emits CSV/JSON datasets (branch energies over nu/f, stationary states,
 beating time series with spectral peaks).  Exit codes: 0 ok, 2 bad input,
 3 I/O, 4 solver/continuation, 5 integration quality.  Numeric CSV fields
 carry 17 significant digits so doubles round-trip exactly; files are
-written to a temporary name and renamed into place.
+written to a temporary name and renamed into place.  The tree and evolve
+datasets are streamed: each is made as a sequence of text chunks (one per
+grid point and birth threshold, per branch, or per sampled step) that is
+written as it is made, so the whole text is never held in memory.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
-from bisect import bisect_right
 
 import numpy as np
 
@@ -57,12 +58,15 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _atomic_write(path: str, data: str):
+def _atomic_write(path: str, chunks):
+    """Write the text chunks, each as it is made, to a temporary file next to
+    `path`, then rename it into place.  If making or writing a chunk fails,
+    `path` keeps its earlier content and the temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -70,12 +74,13 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def _emit(out: str | None, text: str):
-    """Write `text` to the --out path, or to stdout when there is none."""
+def _emit(out: str | None, chunks):
+    """Write the text chunks to the --out path, or to stdout when there is
+    none.  A whole text is passed as a one-element tuple."""
     if out:
-        _atomic_write(out, text)
+        _atomic_write(out, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
@@ -139,42 +144,66 @@ def cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _tree_csv(tree):
+    """The tree CSV as chunks: the header, then one chunk per grid point and
+    threshold whose branches are live there.
+
+    The branches born at one threshold share `xs`, so at grid point k their
+    energies are one column of the threshold's (samples, branches) block.
+    Branches come in threshold order and each threshold's samples start no
+    earlier than the one before, so the live thresholds at k are a prefix.
+    """
+    yield "x,branch_id,set,mu_over_f,n_modes,birth_x\n"
+    labels = ["+".join(str(s) for s in b.set.sites) for b in tree.branches]
+    size = tree.x_grid.size
+    groups = []  # (first grid index, first branch id, n_modes, birth text, block)
+    start = 0
+    for birth, born in itertools.groupby(tree.branches, key=lambda b: b.birth):
+        born = list(born)
+        block = np.array([b.mu_over_f for b in born]).T
+        groups.append((size - born[0].xs.size, start,
+                       [b.set.cardinality for b in born], fmt(birth), block))
+        start += len(born)
+    for k, x in enumerate(tree.x_grid.tolist()):
+        x_text = fmt(x)
+        for first, first_id, n_modes, birth_text, block in groups:
+            if first > k:
+                break
+            yield "".join([
+                f"{x_text},{i},{labels[i]},{mu:.17g},{n},{birth_text}\n"
+                for i, n, mu in zip(itertools.count(first_id), n_modes,
+                                    block[k - first].tolist())])
+
+
+def _tree_json(tree):
+    """The tree as the text of json.dumps(payload, indent=2) plus a newline,
+    written by hand: one chunk for the grid, then one per branch.
+
+    Floats are the repr of Python floats, as json writes them; each grid
+    point's repr is made once and shared by every branch's samples.
+    """
+    x_reprs = [repr(x) for x in tree.x_grid.tolist()]
+    yield ('{\n  "x_grid": [\n    ' + ",\n    ".join(x_reprs)
+           + '\n  ],\n  "branches": [')
+    heads = [f"\n        [\n          {x},\n          " for x in x_reprs]
+    size = len(heads)
+    for i, b in enumerate(tree.branches):
+        sites = ",\n        ".join(map(str, b.set.sites))
+        samples = "\n        ],".join([
+            f"{head}{mu!r}" for head, mu in zip(heads[size - b.xs.size:],
+                                                b.mu_over_f.tolist())])
+        yield (f'{"," if i else ""}\n    {{\n      "id": {i},\n'
+               f'      "set": [\n        {sites}\n      ],\n'
+               f'      "n_modes": {b.set.cardinality},\n'
+               f'      "birth_x": {b.birth},\n'
+               f'      "samples": [{samples}\n        ]\n      ]\n    }}')
+    yield "\n  ]\n}\n"
+
+
 def cmd_tree(args: argparse.Namespace) -> int:
     tree = bifurcation_tree(args.x_min, args.x_max,
                             samples=args.samples, max_n=args.max_n)
-    set_labels = ["+".join(str(s) for s in b.set.sites) for b in tree.branches]
-    if args.format == "json":
-        payload = {
-            "x_grid": [float(x) for x in tree.x_grid],
-            "branches": [
-                {
-                    "id": i,
-                    "set": list(b.set.sites),
-                    "n_modes": b.set.cardinality,
-                    "birth_x": b.birth,
-                    "samples": [[float(x), float(m)]
-                                for x, m in zip(b.xs, b.mu_over_f)],
-                }
-                for i, b in enumerate(tree.branches)
-            ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["x", "branch_id", "set", "mu_over_f", "n_modes", "birth_x"])
-        # branch i samples the grid from first[i] on; first is non-decreasing,
-        # so the branches live at grid point k are a prefix of the list
-        first = [tree.x_grid.size - b.xs.size for b in tree.branches]
-        for k, x in enumerate(tree.x_grid):
-            x_text = fmt(x)
-            for i in range(bisect_right(first, k)):
-                branch = tree.branches[i]
-                writer.writerow([x_text, i, set_labels[i],
-                                 fmt(branch.mu_over_f[k - first[i]]),
-                                 branch.set.cardinality, fmt(branch.birth)])
-        text = buffer.getvalue()
-    _emit(args.out, text)
+    _emit(args.out, (_tree_json if args.format == "json" else _tree_csv)(tree))
     return EXIT_OK
 
 
@@ -213,7 +242,7 @@ def _state_payload(args: argparse.Namespace) -> dict:
 def cmd_state(args: argparse.Namespace) -> int:
     if args.set is None:
         raise DomainError("state needs --set")
-    _emit(args.out, json.dumps(_state_payload(args), indent=2) + "\n")
+    _emit(args.out, (json.dumps(_state_payload(args), indent=2) + "\n",))
     return EXIT_OK
 
 
@@ -241,7 +270,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
             "path": [[b, r, i] for b, r, i in exc.path],
         })
         if args.out:
-            _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+            _atomic_write(args.out, (json.dumps(payload, indent=2) + "\n",))
         print(f"continuation failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     lo, hi = params.window
@@ -253,7 +282,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
         "window": [lo, hi],
         "coefficients": _coefficients(result.state),
     })
-    _emit(args.out, json.dumps(payload, indent=2) + "\n")
+    _emit(args.out, (json.dumps(payload, indent=2) + "\n",))
     return EXIT_OK
 
 
@@ -317,23 +346,24 @@ def _evolve_trace(args: argparse.Namespace):
     return trace, params, site, x
 
 
+def _evolve_csv(trace: dynamics.DynamicsTrace, sites: np.ndarray, stride: int):
+    """The evolve CSV as chunks: the header, then the rows of every
+    stride-th sampled step, one chunk per step."""
+    yield "t_prime,site,abs2\n"
+    sites = sites.tolist()
+    abs2 = np.abs(trace.states[::stride]) ** 2
+    for t, row in zip(trace.times[::stride].tolist(), abs2):
+        t_text = fmt(t)
+        yield "".join([f"{t_text},{site},{a:.17g}\n"
+                       for site, a in zip(sites, row.tolist())])
+
+
 def cmd_evolve(args: argparse.Namespace) -> int:
     if args.stride < 1:
         raise DomainError(f"--stride must be >= 1, got {args.stride}")
     trace, params, site, x = _evolve_trace(args)
     peaks = dynamics.spectrum(trace, site)
     predicted = list(dynamics.beat_periods(x)) if x > 1.0 else None
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["t_prime", "site", "abs2"])
-    sites = params.window_sites
-    abs2 = np.abs(trace.states) ** 2
-    for k in range(0, trace.times.size, args.stride):
-        t_text = fmt(trace.times[k])
-        for col, lattice_site in enumerate(sites):
-            writer.writerow([t_text, int(lattice_site), fmt(abs2[k, col])])
-    csv_text = buffer.getvalue()
 
     companion = {
         "site": int(site),
@@ -350,13 +380,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     }
     json_text = json.dumps(companion, indent=2) + "\n"
 
-    if args.out:
-        _atomic_write(args.out, csv_text)
-        root, _ = os.path.splitext(args.out)
-        _atomic_write(root + ".json", json_text)
-    else:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(json_text)
+    _emit(args.out, _evolve_csv(trace, params.window_sites, args.stride))
+    _emit(os.path.splitext(args.out)[0] + ".json" if args.out else None,
+          (json_text,))
     return EXIT_OK
 
 

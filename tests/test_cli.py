@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import starktree
-from starktree import (LatticeParams, SolutionSet, anticontinuum,
-                       continuation, q_distinct)
+from starktree import (DynamicsTrace, LatticeParams, SolutionSet,
+                       anticontinuum, bifurcation_tree, cli, continuation,
+                       q_distinct)
 from starktree.cli import fmt, load_state_vector, main
 
 
@@ -154,6 +156,109 @@ def test_tree_over_the_cap_is_refused_before_the_grid(monkeypatch, capsys,
     monkeypatch.setattr(np, "arange", grid_must_not_be_built)
     assert run(argv) == 2
     assert message in capsys.readouterr().err
+
+
+# The streamed writers against the text the standard library makes from the
+# same tree: csv.writer rows and json.dumps(indent=2).
+
+
+def tree_csv_oracle(tree):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["x", "branch_id", "set", "mu_over_f", "n_modes", "birth_x"])
+    for k, x in enumerate(tree.x_grid):
+        for i, b in enumerate(tree.branches):
+            first = tree.x_grid.size - b.xs.size
+            if k >= first:
+                writer.writerow([fmt(x), i, "+".join(map(str, b.set.sites)),
+                                 fmt(b.mu_over_f[k - first]),
+                                 b.set.cardinality, fmt(b.birth)])
+    return buffer.getvalue()
+
+
+def tree_json_oracle(tree):
+    payload = {
+        "x_grid": [float(x) for x in tree.x_grid],
+        "branches": [
+            {"id": i, "set": list(b.set.sites), "n_modes": b.set.cardinality,
+             "birth_x": b.birth,
+             "samples": [[float(x), float(m)]
+                         for x, m in zip(b.xs, b.mu_over_f)]}
+            for i, b in enumerate(tree.branches)
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+TREES = {
+    "from_zero": ("0", "12", "101"),
+    "from_above_zero": ("0.3", "7.3", "97"),
+    "below_the_first_bifurcation": ("0", "0.5", "2"),
+    "live_at_the_first_point": ("2.5", "9", "7"),
+    "many_branch_slice": ("20", "21", "3"),
+}
+
+
+@pytest.mark.parametrize("fmt_name, oracle", [("csv", tree_csv_oracle),
+                                              ("json", tree_json_oracle)])
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_streamed_tree_matches_the_library_writers(tmp_path, capsys, name,
+                                                   fmt_name, oracle):
+    x_min, x_max, samples = TREES[name]
+    expected = oracle(bifurcation_tree(float(x_min), float(x_max),
+                                       samples=int(samples)))
+    argv = ["tree", "--x-min", x_min, "--x-max", x_max, "--samples", samples,
+            "--format", fmt_name]
+    out = tmp_path / "tree"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_tree_is_written_in_chunks():
+    tree = bifurcation_tree(0.0, 12.0, samples=101)
+    chunks = list(cli._tree_csv(tree))
+    # the header, then one chunk per grid point and live birth threshold
+    births = sorted({b.birth for b in tree.branches})
+    live = sum(int(np.sum(tree.x_grid > n)) for n in births)
+    assert len(chunks) == 1 + live
+    assert len(list(cli._tree_json(tree))) == 2 + len(tree.branches)
+
+
+def test_write_failure_keeps_the_earlier_file(tmp_path, monkeypatch):
+    out = tmp_path / "tree.csv"
+    out.write_text("earlier\n", encoding="utf-8")
+    real = cli._tree_csv
+
+    def fails_after_two_chunks(tree):
+        chunks = real(tree)
+        yield next(chunks)
+        yield next(chunks)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "_tree_csv", fails_after_two_chunks)
+    assert run(["tree", "--x-min", "0", "--x-max", "6", "--out", str(out)]) == 3
+    assert out.read_text(encoding="utf-8") == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["tree.csv"]
+
+
+@pytest.mark.parametrize("n_times, stride", [(7, 1), (7, 3), (9, 4), (2, 5)])
+def test_streamed_evolve_csv_matches_csv_writer(n_times, stride):
+    rng = np.random.default_rng(n_times + stride)
+    sites = np.arange(-2, 3)
+    states = (rng.normal(size=(n_times, sites.size))
+              + 1j * rng.normal(size=(n_times, sites.size)))
+    trace = DynamicsTrace(times=np.arange(n_times) * 0.1, states=states,
+                          window=(-2, 2), norm_drift=0.0, energy_drift=0.0)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["t_prime", "site", "abs2"])
+    abs2 = np.abs(states) ** 2
+    for k in range(0, n_times, stride):
+        for col, site in enumerate(sites):
+            writer.writerow([fmt(trace.times[k]), int(site), fmt(abs2[k, col])])
+    assert "".join(cli._evolve_csv(trace, sites, stride)) == buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +404,25 @@ def test_evolve_superposition_with_peaks(tmp_path):
     # stride-thinned rows still cover every window site
     sites = {row["site"] for row in rows}
     assert len(sites) == 13
+
+
+@pytest.mark.parametrize("j", [10, 100])
+def test_evolve_on_a_distant_well_matches_well_zero(tmp_path, j):
+    # two Bloch periods at twice the default dt: integrated at absolute site
+    # indices, RK4 lost 3.4e-6 of the norm at j = 10 and 0.78 at j = 100
+    argv = ["evolve", "--x", "1.5", "--t-end", str(4 * math.pi),
+            "--dt", str(2 * starktree.dynamics.DEFAULT_DT)]
+    for well in (0, j):
+        assert run(argv + ["--j", str(well),
+                           "--out", str(tmp_path / f"well{well}.csv")]) == 0
+    near, far = (read_csv(tmp_path / f"well{well}.csv") for well in (0, j))
+    assert len(near) == len(far)
+    for a, b in zip(near, far):
+        assert a["t_prime"] == b["t_prime"]
+        assert int(b["site"]) - int(a["site"]) == j
+        assert float(b["abs2"]) == pytest.approx(float(a["abs2"]), abs=1e-10)
+    companion = json.loads((tmp_path / f"well{j}.json").read_text())
+    assert companion["norm_drift"] < 1e-10
 
 
 def test_evolve_stationary_state_is_flat(tmp_path):

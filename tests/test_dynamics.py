@@ -330,6 +330,25 @@ def test_beating_trace_around_other_wells():
         assert min(abs(f - expected) for f in freqs) <= 2.0 * bin_width
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.01])
+def test_beating_trace_on_a_far_well_matches_well_zero(beta):
+    # the lattice is translation invariant: moving the three states and the
+    # window by j only adds the phase e^{i j t'}
+    x, j = 1.5, 1000
+    near = beating_trace(x, 0, beating_params(x, beta=beta),
+                         t_end=2.0 * BLOCH_PERIOD)
+    far_params = LatticeParams(nu=0.05, f=0.05 / x, beta=beta,
+                               window=(WINDOW[0] + j, WINDOW[1] + j))
+    far = beating_trace(x, j, far_params, t_end=2.0 * BLOCH_PERIOD)
+    assert far.norm_drift < 1e-10
+    np.testing.assert_array_equal(far.times, near.times)
+    np.testing.assert_allclose(np.abs(far.states) ** 2,
+                               np.abs(near.states) ** 2, rtol=0, atol=1e-10)
+    phase = np.exp(1j * j * near.times)[:, None]
+    np.testing.assert_allclose(far.states, near.states * phase,
+                               rtol=0, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # frequency-count growth
 

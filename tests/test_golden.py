@@ -9,7 +9,8 @@ change so far: state_beta, continue_ok, continue_random and
 continue_failed were re-recorded when the resolved sign pattern was
 written after continuation too; their JSON differs from the earlier
 output only in its "signs" entry.  tree_live_first was recorded from the
-code before the tree writer visited only the live branches of each x.
+code before the tree writer visited only the live branches of each x, and
+tree_json_live_first from the code before the tree text was streamed.
 The four evolve cases were re-recorded when the RK4 stage became one
 fused increment: against the earlier output each has the same rows,
 t_prime and site columns and spectral peak frequencies, with abs2 moved
@@ -44,6 +45,9 @@ CASES = {
     # the first grid point already has live branches
     "tree_live_first": ["tree", "--x-min", "2.5", "--x-max", "9", "--samples", "7",
                         "--out", "{out}"],
+    "tree_json_live_first": ["tree", "--x-min", "2.5", "--x-max", "9",
+                             "--samples", "7", "--format", "json",
+                             "--out", "{out}"],
     "state_signs": ["state", "--set", "0,1,3", "--x", "7.5", "--signs=+-+"],
     "state_beta": ["state", "--set", "0,1", "--x", "1.5", "--beta", "0.02",
                    "--out", "{out}"],
@@ -156,6 +160,13 @@ GOLDEN = {
         "rc": 0,
         "stdout":
             "d82e7beb71fad8fbd805243fe28941e7c4fc2c6cee78a5f5ec229dda9ce32c97",
+    },
+    "tree_json_live_first": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "724f645949263b6db236bc948d73edcf21dad711e94691e4caeb1d4ce2950463",
     },
     "tree_live_first": {
         "rc": 0,
