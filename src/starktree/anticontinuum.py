@@ -11,7 +11,6 @@ states, and assembles the bifurcation tree of energies over nu/f.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -34,13 +33,6 @@ NORMALIZATION_TOL = 1e-12
 # Largest number of (x, mu/f) samples one bifurcation tree may hold; larger
 # requests are refused before any set is enumerated.
 MAX_TREE_SAMPLES = 1 << 25
-
-# Most energy samples in one block of branches born at the same threshold:
-# 8 KB, about one branch of a 1001-point grid.  Blocks of a whole threshold
-# (up to 200 KB) or of 64 KB fragmented the heap over repeated tree calls and
-# raised peak RSS by about 6 MB; blocks this small allocate like the arrays
-# of single branches.
-MAX_BLOCK_SAMPLES = 1 << 10
 
 # Most sites one lattice window may hold; the dense (W+1)^2 continuation
 # Jacobian is then 134 MB.  Wider windows are refused before any vector is
@@ -194,8 +186,13 @@ class Branch:
 
 @dataclass(frozen=True)
 class BifurcationTree:
+    """Branches in threshold order; `blocks[n]` is the (q(n), samples) array
+    of mu/f of the branches born at threshold n, their `mu_over_f` its rows
+    in branch order."""
+
     branches: list[Branch]
     x_grid: np.ndarray = field(repr=False)
+    blocks: list[np.ndarray] = field(repr=False)
 
 
 def complementary_set(sset: SolutionSet) -> SolutionSet:
@@ -383,11 +380,10 @@ def bifurcation_tree(x_min, x_max, samples: int = 1001,
     strictly above its threshold, where mu/f = x/N + sum(S)/N.  Branches
     come in threshold order, so each samples a suffix of the read-only
     x_grid that starts no earlier than the one before, and `xs` is a view
-    of that suffix.  The branches born at one threshold share `xs`, and
-    their energies are the rows of (branches, samples) blocks of at most
-    MAX_BLOCK_SAMPLES samples (one row when `xs` is longer).  A tree of
-    more than MAX_TREE_SAMPLES samples is refused before any set is
-    enumerated.
+    of that suffix.  The q(n) branches born at threshold n share `xs`, and
+    their energies are the rows of one (q(n), samples) block, `blocks[n]`.
+    A tree of more than MAX_TREE_SAMPLES samples is refused before any set
+    is enumerated.
     """
     x_min = check_real(x_min, "x_min", at_least=0)
     x_max = check_real(x_max, "x_max", above=x_min)
@@ -408,22 +404,19 @@ def bifurcation_tree(x_min, x_max, samples: int = 1001,
     first = np.searchsorted(grid, np.arange(len(q)), side="right")
     _check_tree_size(sum(q_n * (grid.size - int(k)) for q_n, k in zip(q, first)),
                      x_min, x_max)
-    branches = []
+    # the sets come in threshold order, q[n] of them born at threshold n
     sets = enumerate_solution_sets(x_max, max_n=max_n)
-    for birth, born in itertools.groupby(sets, key=birth_threshold):
-        born = list(born)
-        xs = grid[first[birth]:]
-        rows = max(1, MAX_BLOCK_SAMPLES // xs.size)
-        for lo in range(0, len(born), rows):
-            batch = born[lo:lo + rows]
-            n = np.array([sset.cardinality for sset in batch],
-                         dtype=float)[:, None]
-            sums = np.array([sum(sset.sites) for sset in batch],
-                            dtype=float)[:, None]
-            # sum(S) and N are exact floats, so each row is xs / N + sum(S) / N
-            # bit for bit; the in-place add allocates the block once
-            mus = xs / n
-            mus += sums / n
-            branches.extend(Branch(set=sset, birth=birth, xs=xs, mu_over_f=mu)
-                            for sset, mu in zip(batch, mus))
-    return BifurcationTree(branches=branches, x_grid=grid)
+    branches, blocks = [], []
+    for birth, (q_n, k) in enumerate(zip(q, first)):
+        born = sets[len(branches):len(branches) + q_n]
+        xs = grid[k:]
+        n = np.array([sset.cardinality for sset in born], dtype=float)[:, None]
+        sums = np.array([sum(sset.sites) for sset in born], dtype=float)[:, None]
+        # sum(S) and N are exact floats, so each row is xs / N + sum(S) / N
+        # bit for bit; the in-place add allocates the block once
+        mus = xs / n
+        mus += sums / n
+        blocks.append(mus)
+        branches.extend(Branch(set=sset, birth=birth, xs=xs, mu_over_f=mu)
+                        for sset, mu in zip(born, mus))
+    return BifurcationTree(branches=branches, x_grid=grid, blocks=blocks)

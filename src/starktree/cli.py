@@ -13,7 +13,6 @@ written as it is made, so the whole text is never held in memory.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -148,31 +147,28 @@ def _tree_csv(tree):
     """The tree CSV as chunks: the header, then one chunk per grid point and
     threshold whose branches are live there.
 
-    The branches born at one threshold share `xs`, so at grid point k their
-    energies are one column of the threshold's (samples, branches) block.
-    Branches come in threshold order and each threshold's samples start no
-    earlier than the one before, so the live thresholds at k are a prefix.
+    At grid point k the energies of the branches born at one threshold are
+    one column of the threshold's block in `tree.blocks`.  Branches come in
+    threshold order and each threshold's samples start no earlier than the
+    one before, so the live thresholds at k are a prefix.
     """
     yield "x,branch_id,set,mu_over_f,n_modes,birth_x\n"
     labels = ["+".join(str(s) for s in b.set.sites) for b in tree.branches]
+    n_modes = [b.set.cardinality for b in tree.branches]
     size = tree.x_grid.size
-    groups = []  # (first grid index, first branch id, n_modes, birth text, block)
+    groups = []  # (first grid index, first branch id, birth text, block.T)
     start = 0
-    for birth, born in itertools.groupby(tree.branches, key=lambda b: b.birth):
-        born = list(born)
-        block = np.array([b.mu_over_f for b in born]).T
-        groups.append((size - born[0].xs.size, start,
-                       [b.set.cardinality for b in born], fmt(birth), block))
-        start += len(born)
+    for birth, block in enumerate(tree.blocks):
+        groups.append((size - block.shape[1], start, fmt(birth), block.T))
+        start += len(block)
     for k, x in enumerate(tree.x_grid.tolist()):
         x_text = fmt(x)
-        for first, first_id, n_modes, birth_text, block in groups:
+        for first, first_id, birth_text, columns in groups:
             if first > k:
                 break
             yield "".join([
-                f"{x_text},{i},{labels[i]},{mu:.17g},{n},{birth_text}\n"
-                for i, n, mu in zip(itertools.count(first_id), n_modes,
-                                    block[k - first].tolist())])
+                f"{x_text},{i},{labels[i]},{mu:.17g},{n_modes[i]},{birth_text}\n"
+                for i, mu in enumerate(columns[k - first].tolist(), first_id)])
 
 
 def _tree_json(tree):

@@ -44,7 +44,8 @@ class DynamicsTrace:
     """Uniformly sampled complex coefficient history with its quality ledger.
 
     norm_drift is max |sum |c|^2 - 1| over the trace; energy_drift is the
-    max relative drift of the conserved energy functional.
+    max relative drift of the conserved energy functional, its tilt taken
+    relative to the window's middle site as in the integration.
     """
 
     times: np.ndarray = field(repr=False)
@@ -184,7 +185,7 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
                                     axis=1))
         energies = (-beta * (hops + 2.0 * norms)
                     + 0.5 * nu * np.sum(abs2 ** 2, axis=1)
-                    + f * abs2 @ sites)
+                    + f * abs2 @ (sites - l0))
         scale = max(abs(energies[0]), 1e-30)
         energy_drift = float(np.max(np.abs(energies - energies[0])) / scale)
     if not math.isfinite(norm_drift) or norm_drift > NORM_DRIFT_LIMIT:

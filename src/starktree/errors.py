@@ -54,10 +54,13 @@ def check_int(value, name: str, lo: int | None = None,
               hi: int | None = None) -> int:
     """`value` as an exact integer within [lo, hi] (either bound optional).
 
-    Floats are refused even when integral; anything that is not an integer
-    or lies outside the bounds raises DomainError naming `name`.
+    Floats are refused even when integral, and booleans although they are
+    ints; anything that is not an integer or lies outside the bounds raises
+    DomainError naming `name`.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
@@ -72,10 +75,11 @@ def check_real(value, name: str, above: float | None = None,
                at_least: float | None = None) -> float:
     """`value` as a finite float, > above and >= at_least (either optional).
 
-    Python and numpy real scalars pass; strings, None, NaN, +-inf and
-    values outside the bounds raise DomainError naming `name`.
+    Python and numpy real scalars pass; booleans, strings, None, NaN, +-inf
+    and values outside the bounds raise DomainError naming `name`.
     """
-    number = float(value) if isinstance(value, numbers.Real) else math.nan
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    number = float(value) if real else math.nan
     if not math.isfinite(number):
         raise DomainError(f"{name} must be a finite real number, got {value!r}")
     if above is not None and number <= above:

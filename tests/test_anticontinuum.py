@@ -321,25 +321,24 @@ def test_tree_samples_strictly_above_birth_and_exact_energies():
     tree = bifurcation_tree(0.5, 8.5, samples=257)
     assert any(float(n) in tree.x_grid for n in range(1, 9))
     for branch in tree.branches:
+        assert branch.birth == birth_threshold(branch.set)
         assert np.all(branch.xs > branch.birth)
         n = branch.set.cardinality
         expected = branch.xs / n + sum(branch.set.sites) / n
         assert np.array_equal(branch.mu_over_f, expected)
 
 
-@pytest.mark.parametrize("block", [anticontinuum.MAX_BLOCK_SAMPLES, 1000, 7])
-def test_tree_energies_per_threshold_block_are_exact(monkeypatch, block):
-    monkeypatch.setattr(anticontinuum, "MAX_BLOCK_SAMPLES", block)
+def test_tree_energies_are_one_exact_block_per_threshold():
     tree = bifurcation_tree(0.0, 20.0, samples=1001)
     assert len(tree.branches) == counting_function(20) + 1
+    assert len(tree.blocks) == 20
+    for n, block in enumerate(tree.blocks):
+        assert len(block) == q_distinct(n)
     for branch in tree.branches:
         n = branch.set.cardinality
         expected = branch.xs / n + sum(branch.set.sites) / n
         assert np.array_equal(branch.mu_over_f, expected)
-        # a row of a block of at most `block` samples, or a lone row
-        rows, width = branch.mu_over_f.base.shape
-        assert width == branch.xs.size
-        assert rows == 1 or rows * width <= block
+        assert np.shares_memory(branch.mu_over_f, tree.blocks[branch.birth])
 
 
 def test_tree_branches_are_views_of_a_read_only_grid():

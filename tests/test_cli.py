@@ -484,6 +484,17 @@ def test_evolve_initial_refuses_bad_coefficients(tmp_path, capsys, site,
     assert message in capsys.readouterr().err
 
 
+def test_evolve_initial_refuses_a_boolean_tilt(tmp_path, capsys):
+    # json reads true as a bool, which is an int subclass
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({
+        "nu": 2.0, "f": True, "beta": 0.0, "window": [-2, 2],
+        "coefficients": {"0": 1.0},
+    }))
+    assert run(["evolve", "--initial", str(state_path)]) == 2
+    assert "f must be a finite real number" in capsys.readouterr().err
+
+
 @pytest.fixture
 def no_large_zeros(monkeypatch):
     """np.zeros fails for anything larger than the window cap."""

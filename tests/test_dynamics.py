@@ -341,6 +341,8 @@ def test_beating_trace_on_a_far_well_matches_well_zero(beta):
                                window=(WINDOW[0] + j, WINDOW[1] + j))
     far = beating_trace(x, j, far_params, t_end=2.0 * BLOCH_PERIOD)
     assert far.norm_drift < 1e-10
+    # abs=0: approx would otherwise admit any drift within 1e-12
+    assert far.energy_drift == pytest.approx(near.energy_drift, rel=0.1, abs=0)
     np.testing.assert_array_equal(far.times, near.times)
     np.testing.assert_allclose(np.abs(far.states) ** 2,
                                np.abs(near.states) ** 2, rtol=0, atol=1e-10)

@@ -96,6 +96,8 @@ def test_q_distinct_domain():
     with pytest.raises(DomainError):
         q_distinct(2.5)
     with pytest.raises(DomainError):
+        q_distinct(True)
+    with pytest.raises(DomainError):
         q_distinct(5001)
 
 

@@ -79,7 +79,7 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_real_arguments_are_checked(entry):
     call, refused, accepted = ENTRY_POINTS[entry]
-    for bad in ("3", None, math.nan, math.inf, refused):
+    for bad in ("3", None, True, math.nan, math.inf, refused):
         with pytest.raises(DomainError):
             call(bad)
     call(np.float64(accepted))
