@@ -328,8 +328,9 @@ def test_tree_samples_strictly_above_birth_and_exact_energies():
         assert np.array_equal(branch.mu_over_f, expected)
 
 
-def test_tree_energies_are_one_exact_block_per_threshold():
-    tree = bifurcation_tree(0.0, 20.0, samples=1001)
+@pytest.mark.parametrize("samples", [1024, 1000, 7])
+def test_tree_energies_per_threshold_block_are_exact(samples):
+    tree = bifurcation_tree(0.0, 20.0, samples=samples)
     assert len(tree.branches) == counting_function(20) + 1
     assert len(tree.blocks) == 20
     for n, block in enumerate(tree.blocks):
@@ -338,7 +339,10 @@ def test_tree_energies_are_one_exact_block_per_threshold():
         n = branch.set.cardinality
         expected = branch.xs / n + sum(branch.set.sites) / n
         assert np.array_equal(branch.mu_over_f, expected)
-        assert np.shares_memory(branch.mu_over_f, tree.blocks[branch.birth])
+        # a row of the (q(n), samples) block of its birth threshold
+        block = tree.blocks[branch.birth]
+        assert np.shares_memory(branch.mu_over_f, block)
+        assert block.shape[1] == branch.xs.size
 
 
 def test_tree_branches_are_views_of_a_read_only_grid():
