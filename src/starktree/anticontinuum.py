@@ -132,16 +132,18 @@ class LatticeParams:
         hop[1:] += c[:-1]
         return -self.beta * (hop + 2.0 * c)
 
-    def covers(self, sset: SolutionSet, margin: int = MIN_WINDOW_MARGIN) -> bool:
+    def covers(self, sset: SolutionSet) -> bool:
         lo, hi = self.window
-        return lo <= sset.sites[0] - margin and hi >= sset.sites[-1] + margin
+        return (lo <= sset.sites[0] - MIN_WINDOW_MARGIN
+                and hi >= sset.sites[-1] + MIN_WINDOW_MARGIN)
 
     @classmethod
-    def for_set(cls, sset: SolutionSet, nu, f, beta=0.0,
-                margin: int = DEFAULT_WINDOW_MARGIN) -> "LatticeParams":
-        """Params with the default window: support padded by `margin` sites."""
+    def for_set(cls, sset: SolutionSet, nu, f, beta=0.0) -> "LatticeParams":
+        """Params with the default window: support padded by
+        DEFAULT_WINDOW_MARGIN sites."""
         return cls(nu=nu, f=f, beta=beta,
-                   window=(sset.sites[0] - margin, sset.sites[-1] + margin))
+                   window=(sset.sites[0] - DEFAULT_WINDOW_MARGIN,
+                           sset.sites[-1] + DEFAULT_WINDOW_MARGIN))
 
 
 @dataclass
@@ -265,11 +267,11 @@ def build_state(sset: SolutionSet, params: LatticeParams,
     """Exact zero-hopping state on the set with the given sign pattern.
 
     Amplitudes are +-sqrt((mu - f l)/nu) on the set and zero elsewhere;
-    the normalization sum c^2 = 1 holds identically and is asserted.
+    sum c^2 = 1 and the stationary equation hold identically and are checked.
 
-    Raises InadmissibleSetError below the birth threshold and
+    Raises InadmissibleSetError below the birth threshold,
     ConfigurationError when the window does not pad the support by at
-    least two sites.
+    least two sites, and DomainError where round-off breaks those checks.
     """
     threshold = birth_threshold(sset)
     x = params.ratio
@@ -291,8 +293,11 @@ def build_state(sset: SolutionSet, params: LatticeParams,
         coeff[s - lo] = sgn * math.sqrt((mu - params.f * s) / params.nu)
     state = StationaryState(params=params, coefficients=coeff, mu=mu,
                             set=sset, signs=sign_tuple)
-    assert abs(state.norm_sq() - 1.0) < NORMALIZATION_TOL
-    assert np.max(np.abs(zero_hopping_residual(state))) < NORMALIZATION_TOL
+    residual = np.max(np.abs(zero_hopping_residual(state)))
+    if not (abs(state.norm_sq() - 1.0) < NORMALIZATION_TOL
+            and residual < NORMALIZATION_TOL):
+        raise DomainError(f"set {sset.sites} at nu/f = {x} is beyond double "
+                          f"precision (self-check over {NORMALIZATION_TOL})")
     return state
 
 
@@ -324,29 +329,24 @@ def translate_state(state: StationaryState, j) -> StationaryState:
     out = StationaryState(params=p, coefficients=coeff,
                           mu=state.mu + j * p.f, set=new_set, signs=state.signs)
     if new_set is not None and p.beta == 0:
-        assert np.max(np.abs(zero_hopping_residual(out))) < NORMALIZATION_TOL
+        residual = np.max(np.abs(zero_hopping_residual(out)))
+        if not residual < NORMALIZATION_TOL:
+            raise DomainError(f"set {new_set.sites} at nu/f = {p.ratio} is "
+                              f"beyond double precision (self-check over "
+                              f"{NORMALIZATION_TOL})")
     return out
 
 
-def enumerate_solution_sets(x, max_n: int = 64) -> list[SolutionSet]:
+def enumerate_solution_sets(x) -> list[SolutionSet]:
     """All canonical sets admissible at nu/f = x, singleton included.
 
     Each birth-threshold integer n < x contributes the zero-anchored
     distinct partitions of n, mapped through the (involutive) complementary
     reflection.  Ordered by threshold, then cardinality, then sites; length
-    is counting_function(x) + 1.
-
-    max_n caps the threshold integers visited; x beyond max_n + 1 raises
-    rather than silently dropping branches.  More than MAX_ENUMERATION sets
-    are refused before any is built.
+    is counting_function(x) + 1.  More than MAX_ENUMERATION sets are
+    refused before any is built.
     """
     x = check_real(x, "ratio", above=0)
-    max_n = check_int(max_n, "max_n", 1)
-    top = math.ceil(x) - 1
-    if top > max_n:
-        raise DomainError(
-            f"ratio {x} admits birth thresholds up to {top}; raise max_n ({max_n})"
-        )
     count = counting_function(x) + 1
     if count > MAX_ENUMERATION:
         raise DomainError(
@@ -354,7 +354,7 @@ def enumerate_solution_sets(x, max_n: int = 64) -> list[SolutionSet]:
             f"cap of {MAX_ENUMERATION}"
         )
     out: list[SolutionSet] = []
-    for n in range(top + 1):
+    for n in range(math.ceil(x)):
         batch = [SolutionSet(tuple(parts[-1] - p for p in parts))
                  for parts in enumerate_distinct_partitions(n)]
         batch.sort(key=lambda s: (s.cardinality, s.sites))
@@ -371,8 +371,7 @@ def _check_tree_size(n_samples: int, x_min: float, x_max: float):
         )
 
 
-def bifurcation_tree(x_min, x_max, samples: int = 1001,
-                     max_n: int = 64) -> BifurcationTree:
+def bifurcation_tree(x_min, x_max, samples: int = 1001) -> BifurcationTree:
     """Energy branches mu/f over a uniform nu/f grid with the integer birth
     points inserted exactly.
 
@@ -388,24 +387,22 @@ def bifurcation_tree(x_min, x_max, samples: int = 1001,
     x_min = check_real(x_min, "x_min", at_least=0)
     x_max = check_real(x_max, "x_max", above=x_min)
     samples = check_int(samples, "samples", 2, MAX_TREE_SAMPLES + 1)
-    max_n = check_int(max_n, "max_n", 1)
-    # refused before the grid is built: the singleton branch samples every
-    # positive integer in range, and every linspace point but x = 0
-    _check_tree_size(math.floor(x_max) - max(math.ceil(x_min), 1) + 1,
-                     x_min, x_max)
+    # refused before the grid is built: each of the n_int positive integers
+    # m in range is sampled by the branches born at 0..m-1, so m times or more
+    n_int = math.floor(x_max) - max(math.ceil(x_min), 1) + 1
+    _check_tree_size(n_int * (n_int + 1) // 2, x_min, x_max)
     base = np.linspace(x_min, x_max, samples)
     integers = np.arange(math.ceil(x_min), math.floor(x_max) + 1, dtype=float)
     grid = np.unique(np.concatenate([base, integers]))
     grid.flags.writeable = False
     # q(n) sets are born at each threshold n < x_max, each sampled on the
-    # grid from first[n] on.  Thresholds past max_n are refused by the
-    # enumeration, and the count up to MAX_N is far over the cap already.
-    q = _q_table(min(math.ceil(x_max) - 1, max_n, MAX_N))
+    # grid from first[n] on; the count up to MAX_N is far over the cap already
+    q = _q_table(min(math.ceil(x_max) - 1, MAX_N))
     first = np.searchsorted(grid, np.arange(len(q)), side="right")
     _check_tree_size(sum(q_n * (grid.size - int(k)) for q_n, k in zip(q, first)),
                      x_min, x_max)
     # the sets come in threshold order, q[n] of them born at threshold n
-    sets = enumerate_solution_sets(x_max, max_n=max_n)
+    sets = enumerate_solution_sets(x_max)
     branches, blocks = [], []
     for birth, (q_n, k) in enumerate(zip(q, first)):
         born = sets[len(branches):len(branches) + q_n]

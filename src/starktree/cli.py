@@ -41,6 +41,7 @@ from .errors import (
     IntegrationError,
     ResonanceError,
     SolverError,
+    check_int,
     check_real,
 )
 from .partitions import counting_function, f_asymptotic
@@ -90,16 +91,25 @@ def _parse_set(text: str) -> tuple[int, ...]:
             f"must be comma-separated integers, got {text!r}") from None
 
 
+def _parse_signs(text: str):
+    """'random', a '+-+' literal, or +-1 values parsed like --set (argparse
+    keeps --signs=-1,-1 but drops the value of --signs=--)."""
+    if text == "random" or not text.strip("+-"):
+        return text
+    return _parse_set(text)
+
+
 def _resolve_signs(args: argparse.Namespace, n: int) -> tuple[int, ...]:
-    """The n signs as +-1: a '+-+' literal, or 'random' drawn from the
-    seeded generator.
+    """The n signs as +-1: a '+-+' literal, +-1 values, or 'random' drawn
+    from the generator seeded with --seed.
 
     An absent or empty --signs means the default all-plus pattern.
     argparse turns --signs=-- into [], which must stay a pattern of the
     wrong length and be refused, not fall through to the default.
     """
     if args.signs == "random":
-        rng = np.random.default_rng(args.seed)
+        seed = None if args.seed is None else check_int(args.seed, "--seed", 0)
+        rng = np.random.default_rng(seed)
         return tuple(int(s) for s in rng.choice((-1, 1), size=n))
     return _normalize_signs(None if args.signs == "" else args.signs, n)
 
@@ -197,8 +207,7 @@ def _tree_json(tree):
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    tree = bifurcation_tree(args.x_min, args.x_max,
-                            samples=args.samples, max_n=args.max_n)
+    tree = bifurcation_tree(args.x_min, args.x_max, samples=args.samples)
     _emit(args.out, (_tree_json if args.format == "json" else _tree_csv)(tree))
     return EXIT_OK
 
@@ -301,7 +310,8 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
         for site, value in coefficients.items():
             if not lo <= int(site) <= hi:
                 raise DomainError(f"site {site} outside window [{lo}, {hi}]")
-            vector[int(site) - lo] = value
+            vector[int(site) - lo] = check_real(
+                value, f"coefficient at site {site}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"state file {path} is not usable: {exc}") from exc
     return vector, params
@@ -336,8 +346,9 @@ def _evolve_trace(args: argparse.Namespace):
                           "three-state superposition")
     # the default window pads the three sites j-1, j, j+1 the states occupy
     params = _lattice_params(args, SolutionSet((args.j - 1, args.j, args.j + 1)))
+    # params.ratio is 0.05/(0.05/x), which need not be x bit for bit
     x = params.ratio if args.x is None else args.x
-    trace = dynamics.beating_trace(x, args.j, params, args.t_end, args.dt)
+    trace = dynamics.beating_trace(args.j, params, args.t_end, args.dt)
     site = args.site if args.site is not None else args.j
     return trace, params, site, x
 
@@ -390,52 +401,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *names):
-        if "x" in names:
-            p.add_argument("--x", type=float, help="ratio nu/f")
-        if "set" in names:
-            p.add_argument("--set", type=_parse_set,
-                           help="comma-separated sites, e.g. 0,1,3")
-        if "nu_f" in names:
-            p.add_argument("--nu", type=float,
-                           help="nonlinearity nu; give --x or --nu/--f, or --x "
-                                "with one of them.  --x alone means nu = x, "
-                                "f = 1, but nu = 0.05, f = 0.05/x for the "
-                                "three-state beating of evolve")
-            p.add_argument("--f", type=float, help="tilt f")
-        if "beta" in names:
-            p.add_argument("--beta", type=float, default=0.0, help="hopping beta")
-            p.add_argument("--steps", type=int, default=10,
-                           help="continuation steps to reach beta")
-        if "signs" in names:
-            p.add_argument("--signs", type=str, default=None,
-                           help="sign pattern '+-+' or 'random'")
-            p.add_argument("--seed", type=int, default=None,
-                           help="seed for random sign sampling")
-        if "out" in names:
-            p.add_argument("--out", type=str, default=None, help="output path")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--x", type=float, help="ratio nu/f")
+    common.add_argument("--set", type=_parse_set,
+                        help="comma-separated sites, e.g. 0,1,3")
+    common.add_argument("--nu", type=float,
+                        help="nonlinearity nu; give --x or --nu/--f, or --x "
+                             "with one of them.  --x alone means nu = x, "
+                             "f = 1, but nu = 0.05, f = 0.05/x for the "
+                             "three-state beating of evolve")
+    common.add_argument("--f", type=float, help="tilt f")
+    common.add_argument("--beta", type=float, default=0.0, help="hopping beta")
+    common.add_argument("--steps", type=int, default=10,
+                        help="continuation steps to reach beta")
+    common.add_argument("--signs", type=_parse_signs, default=None,
+                        help="sign pattern '+-+' or 'random'")
+    common.add_argument("--seed", type=int, default=None,
+                        help="seed for random sign sampling")
+    common.add_argument("--out", type=str, default=None, help="output path")
 
     p_count = sub.add_parser("count", help="branch counting function at nu/f")
-    add_common(p_count, "x")
+    p_count.add_argument("--x", type=float, help="ratio nu/f")
 
     p_tree = sub.add_parser("tree", help="bifurcation tree dataset over nu/f")
     p_tree.add_argument("--x-min", type=float, required=True)
     p_tree.add_argument("--x-max", type=float, required=True)
     p_tree.add_argument("--samples", type=int, default=1001)
-    p_tree.add_argument("--max-n", type=int, default=64,
-                        help="largest birth threshold to enumerate")
     p_tree.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p_tree, "out")
+    p_tree.add_argument("--out", type=str, default=None, help="output path")
 
-    p_state = sub.add_parser("state", help="stationary state as JSON")
-    add_common(p_state, "x", "set", "nu_f", "beta", "signs", "out")
-
-    p_cont = sub.add_parser("continue",
-                            help="continuation path to finite hopping")
-    add_common(p_cont, "x", "set", "nu_f", "beta", "signs", "out")
-
-    p_evolve = sub.add_parser("evolve", help="time evolution dataset")
-    add_common(p_evolve, "x", "set", "nu_f", "beta", "signs", "out")
+    sub.add_parser("state", parents=[common], help="stationary state as JSON")
+    sub.add_parser("continue", parents=[common],
+                   help="continuation path to finite hopping")
+    p_evolve = sub.add_parser("evolve", parents=[common],
+                              help="time evolution dataset")
     p_evolve.add_argument("--t-end", type=float,
                           default=20.0 * dynamics.BLOCH_PERIOD,
                           help="dimensionless time horizon")

@@ -197,26 +197,22 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
                          norm_drift=norm_drift, energy_drift=energy_drift)
 
 
-def _well_states(x, j: int, params: LatticeParams) -> list[StationaryState]:
+def _well_states(j: int, params: LatticeParams) -> list[StationaryState]:
     """The three zero-hopping states sharing well j: {j}, {j, j+1}, {j-1, j};
     they exist together only for nu/f > 1."""
-    x = check_real(x, "nu/f of the three well states", above=1)
-    if abs(params.ratio - x) > 1e-9 * x:
-        raise DomainError(
-            f"requested ratio {x} inconsistent with params nu/f = {params.ratio}"
-        )
+    check_real(params.ratio, "nu/f of the three well states", above=1)
     return [build_state(SolutionSet(s), params)
             for s in ((j,), (j, j + 1), (j - 1, j))]
 
 
-def superposition_state(x, j: int, params: LatticeParams) -> np.ndarray:
+def superposition_state(j: int, params: LatticeParams) -> np.ndarray:
     """Normalized coherent sum of the three all-plus states on well j."""
-    states = _well_states(x, j, params)
+    states = _well_states(j, params)
     total = np.sum([s.coefficients for s in states], axis=0).astype(complex)
     return total / math.sqrt(float(np.sum(np.abs(total) ** 2)))
 
 
-def beating_trace(x, j: int, params: LatticeParams, t_end,
+def beating_trace(j: int, params: LatticeParams, t_end,
                   dt: float = DEFAULT_DT) -> DynamicsTrace:
     """Beating observable: the three well-j states integrated separately
     under the full equation and summed coherently.
@@ -227,7 +223,7 @@ def beating_trace(x, j: int, params: LatticeParams, t_end,
     of the three underlying integrations.
     """
     traces = [evolve(s.coefficients.astype(complex), params, t_end, dt)
-              for s in _well_states(x, j, params)]
+              for s in _well_states(j, params)]
     summed = traces[0].states + traces[1].states + traces[2].states
     return DynamicsTrace(
         times=traces[0].times,

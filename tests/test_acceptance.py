@@ -147,8 +147,8 @@ def test_criterion_3_threshold_cascade():
         for n_modes, birth in expected.items():
             assert consecutive_threshold(n_modes) == birth
             sset = SolutionSet(tuple(range(n_modes)))
-            above = enumerate_solution_sets(birth + 0.5, max_n=16)
-            below = enumerate_solution_sets(max(birth - 0.5, 0.25), max_n=16)
+            above = enumerate_solution_sets(birth + 0.5)
+            below = enumerate_solution_sets(max(birth - 0.5, 0.25))
             assert sset in above
             assert sset not in below
 
@@ -242,7 +242,7 @@ def test_criterion_7_beating_periods():
         start = time.perf_counter()
         x, nu = 1.5, 0.05
         params = LatticeParams(nu=nu, f=nu / x, beta=0.0, window=(-6, 6))
-        trace = beating_trace(x, 0, params, t_end=20.0 * BLOCH_PERIOD)
+        trace = beating_trace(0, params, t_end=20.0 * BLOCH_PERIOD)
         peaks = spectrum(trace, 0)
         elapsed = time.perf_counter() - start
         _, t1, t2 = beat_periods(x)

@@ -234,6 +234,15 @@ def test_translate_escaping_window_raises():
         translate_state(st, 2)
 
 
+def test_translate_beyond_double_precision_raises():
+    # mu grows to 4e4 on the far rung, where round-off alone leaves a
+    # residual above the 1e-12 tolerance
+    p = LatticeParams(nu=15.0, f=10.0, window=(-5, 4000))
+    st = build_state(SolutionSet((0, 1)), p)
+    with pytest.raises(DomainError, match="double precision"):
+        translate_state(st, 3990)
+
+
 # ---------------------------------------------------------------------------
 # enumeration of solution sets
 
@@ -264,13 +273,6 @@ def test_enumerate_all_admissible_and_canonical():
         assert admissible(s, 9.5)
 
 
-def test_enumerate_max_n_guard():
-    with pytest.raises(DomainError):
-        enumerate_solution_sets(8.0, max_n=3)
-    with pytest.raises(DomainError):
-        enumerate_solution_sets(3.0, max_n=0)
-
-
 def test_enumerate_refused_above_the_cap(monkeypatch):
     def partitions_must_not_run(*args, **kwargs):
         raise AssertionError("an over-cap enumeration reached the partitions")
@@ -279,7 +281,7 @@ def test_enumerate_refused_above_the_cap(monkeypatch):
                         partitions_must_not_run)
     # F(124) + 1 = 35,998,808 sets
     with pytest.raises(DomainError, match="cap"):
-        enumerate_solution_sets(124, max_n=200)
+        enumerate_solution_sets(124)
 
 
 def test_enumerate_of_exactly_the_cap_is_admitted(monkeypatch):
@@ -418,7 +420,18 @@ def test_tree_refused_before_enumeration(monkeypatch):
                         enumeration_must_not_run)
     # 4.83M sets and about 541M samples
     with pytest.raises(DomainError, match="cap"):
-        bifurcation_tree(0.0, 100.0, samples=1001, max_n=100)
-    # thresholds past max_n count no further; the cap still holds up to it
+        bifurcation_tree(0.0, 100.0, samples=1001)
+    # counted from the thresholds below 4000, before any set is enumerated
     with pytest.raises(DomainError, match="cap"):
         bifurcation_tree(0.0, 4000.0, samples=1001)
+
+
+def test_tree_of_many_integers_refused_before_the_grid(monkeypatch):
+    def grid_must_not_be_built(*args, **kwargs):
+        raise AssertionError("an over-cap tree reached the grid allocation")
+
+    monkeypatch.setattr(np, "linspace", grid_must_not_be_built)
+    # each integer m in (0, 4e6] is sampled by the branches born at 0..m-1:
+    # 8e12 samples or more, though the 4e6 integers alone are under the cap
+    with pytest.raises(DomainError, match="cap"):
+        bifurcation_tree(0.0, 4e6)

@@ -14,7 +14,7 @@ import pytest
 import starktree
 from starktree import (DynamicsTrace, LatticeParams, SolutionSet,
                        anticontinuum, bifurcation_tree, cli, continuation,
-                       q_distinct)
+                       continue_in_beta, q_distinct)
 from starktree.cli import fmt, load_state_vector, main
 
 
@@ -125,7 +125,7 @@ def test_tree_over_the_sample_cap_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(anticontinuum, "enumerate_solution_sets",
                         enumeration_must_not_run)
     # about 97.7M samples over 749,293 sets
-    assert run(["tree", "--x-min", "0", "--x-max", "80", "--max-n", "80"]) == 2
+    assert run(["tree", "--x-min", "0", "--x-max", "80"]) == 2
     assert "cap" in capsys.readouterr().err
 
 
@@ -137,8 +137,8 @@ def test_tree_over_the_enumeration_cap_exits_2(monkeypatch, capsys):
                         partitions_must_not_run)
     # 22,884,026 samples pass the sample cap, but over F(110) + 1 =
     # 11,442,013 sets
-    assert run(["tree", "--x-min", "109.5", "--x-max", "110", "--samples", "2",
-                "--max-n", "200"]) == 2
+    assert run(["tree", "--x-min", "109.5", "--x-max", "110",
+                "--samples", "2"]) == 2
     assert "enumeration cap" in capsys.readouterr().err
 
 
@@ -330,6 +330,23 @@ def test_state_sign_pattern_and_seeded_random(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_random_signs_refuse_a_negative_seed(capsys):
+    assert run(["state", "--set", "0,1", "--x", "1.5", "--signs=random",
+                "--seed=-1"]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--set", "10000000,10000001", "--x", "1.5"],
+    ["state", "--set", "0,1", "--x", "1e9"],
+    ["evolve", "--x", "1.5", "--j", "10000000"],
+])
+def test_states_beyond_double_precision_exit_2(capsys, argv):
+    # |mu| of 1e7 to 1e9: round-off alone breaks the 1e-12 self-check
+    assert run(argv) == 2
+    assert "beyond double precision" in capsys.readouterr().err
+
+
 def test_signs_are_written_after_continuation(tmp_path):
     # the drawn pattern must be readable back from every payload
     argv = ["--set", "0,1,3", "--x", "7.5", "--signs=random", "--seed", "11"]
@@ -360,6 +377,20 @@ def test_continue_emits_path(tmp_path):
     assert payload["path"][-1][0] == pytest.approx(0.025)
     assert all(res < 1e-12 for _, res, _ in payload["path"])
     assert payload["certificate"] > 0
+
+
+def test_continue_all_minus_signs_as_numbers(tmp_path):
+    # argparse drops the value of --signs=--, but keeps --signs=-1,-1
+    out = tmp_path / "cont.json"
+    assert run(["continue", "--set=0,1", "--x", "4.5", "--beta", "0.02",
+                "--signs=-1,-1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["signs"] == [-1, -1]
+    sset = SolutionSet((0, 1))
+    params = LatticeParams.for_set(sset, nu=4.5, f=1.0, beta=0.02)
+    state = continue_in_beta(sset, params, 0.02, signs=(-1, -1)).state
+    assert payload["mu"] == state.mu
+    assert list(payload["coefficients"].values()) == state.coefficients.tolist()
 
 
 def test_continue_refuses_runaway_step_count(monkeypatch, capsys):
@@ -470,8 +501,11 @@ def test_evolve_initial_file_runs(tmp_path):
 @pytest.mark.parametrize("site, value, message", [
     ("9", 0.8, "outside window"),
     ("-2", 0.8, "outside window"),
-    ("1", math.nan, "normalized"),  # json writes and reads NaN
+    ("1", math.nan, "finite real number"),  # json writes and reads NaN
     (None, [0.6, 0.8], "keyed by site"),  # a list instead of an object
+    # normalized if read as 1, as numpy would store either value
+    (None, {"0": True}, "coefficient at site 0"),
+    (None, {"0": "1"}, "coefficient at site 0"),
 ])
 def test_evolve_initial_refuses_bad_coefficients(tmp_path, capsys, site,
                                                  value, message):

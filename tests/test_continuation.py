@@ -27,8 +27,8 @@ S0 = SolutionSet((0,))
 S01 = SolutionSet((0, 1))
 
 
-def params_for(sset, x, f=1.0, beta=0.0, margin=5):
-    return LatticeParams.for_set(sset, nu=x * f, f=f, beta=beta, margin=margin)
+def params_for(sset, x, f=1.0, beta=0.0):
+    return LatticeParams.for_set(sset, nu=x * f, f=f, beta=beta)
 
 
 # ---------------------------------------------------------------------------

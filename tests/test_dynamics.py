@@ -156,7 +156,7 @@ def test_stationary_state_is_stationary_under_evolution():
 
 def test_conservation_over_twenty_bloch_periods():
     p = beating_params(1.5)
-    initial = superposition_state(1.5, 0, p)
+    initial = superposition_state(0, p)
     trace = evolve(initial, p, t_end=20.0 * BLOCH_PERIOD)
     assert trace.norm_drift < 1e-9
     assert trace.energy_drift < 1e-8
@@ -165,14 +165,14 @@ def test_conservation_over_twenty_bloch_periods():
 def test_summed_vector_is_flat_at_zero_hopping():
     # the site-decoupled equation freezes |c_l|; beats need beating_trace
     p = beating_params(1.5)
-    initial = superposition_state(1.5, 0, p)
+    initial = superposition_state(0, p)
     trace = evolve(initial, p, t_end=2.0 * BLOCH_PERIOD)
     assert np.max(np.abs(np.abs(trace.states) - np.abs(trace.states[0]))) < 1e-10
 
 
 def test_integrator_fourth_order():
     p = LatticeParams(nu=1.5, f=1.0, beta=0.1, window=WINDOW)
-    initial = superposition_state(1.5, 0, p)
+    initial = superposition_state(0, p)
 
     def final(dt):
         return evolve(initial, p, t_end=2.0 * math.pi, dt=dt).states[-1]
@@ -209,7 +209,7 @@ def test_evolve_step_is_rk4_on_the_lattice_operator():
 
 def test_evolve_validation():
     p = beating_params(1.5)
-    good = superposition_state(1.5, 0, p)
+    good = superposition_state(0, p)
     with pytest.raises(DomainError):
         evolve(good, p, t_end=-1.0)
     with pytest.raises(DomainError):
@@ -241,14 +241,14 @@ def test_evolve_matches_exact_zero_hopping_solution():
 def test_evolve_flags_norm_drift():
     # absurdly large steps wreck conservation and must be reported
     p = LatticeParams(nu=1.5, f=0.01, beta=0.5, window=WINDOW)
-    initial = superposition_state(150.0, 0, p)
+    initial = superposition_state(0, p)
     with pytest.raises(IntegrationError):
         evolve(initial, p, t_end=40.0, dt=0.5)
 
 
 def test_evolve_refuses_oversized_trace_before_allocating():
     p = beating_params(1.5)
-    good = superposition_state(1.5, 0, p)
+    good = superposition_state(0, p)
     # about 3.3e8 steps of 13 sites: some 70 GB of samples
     with pytest.raises(DomainError, match="bytes"):
         evolve(good, p, t_end=1e6)
@@ -264,7 +264,7 @@ def test_evolve_refuses_oversized_trace_before_allocating():
 
 def test_superposition_state_support_and_norm():
     p = beating_params(1.5)
-    vec = superposition_state(1.5, 0, p)
+    vec = superposition_state(0, p)
     support = {int(s) for s, v in zip(p.window_sites, vec) if abs(v) > 1e-14}
     assert support == {-1, 0, 1}
     assert np.sum(np.abs(vec) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -277,11 +277,10 @@ def test_superposition_state_support_and_norm():
 
 
 def test_superposition_requires_consistent_ratio():
-    p = beating_params(1.5)
-    with pytest.raises(DomainError):
-        superposition_state(2.0, 0, p)
-    with pytest.raises(DomainError):
-        superposition_state(0.9, 0, LatticeParams(nu=0.9, f=1.0, window=WINDOW))
+    # the three well states coexist only above nu/f = 1, read from params
+    for nu in (0.9, 1.0):
+        with pytest.raises(DomainError, match="nu/f"):
+            superposition_state(0, LatticeParams(nu=nu, f=1.0, window=WINDOW))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +320,7 @@ def test_beating_trace_around_other_wells():
     x = 2.5
     nu = 0.05
     p = LatticeParams(nu=nu, f=nu / x, beta=0.0, window=(-3, 9))
-    trace = beating_trace(x, 3, p, t_end=6.0 * BLOCH_PERIOD)
+    trace = beating_trace(3, p, t_end=6.0 * BLOCH_PERIOD)
     peaks = spectrum(trace, 3)
     bin_width = 2.0 * math.pi / (trace.times.size * trace.dt)
     _, t1, t2 = beat_periods(x)
@@ -335,11 +334,11 @@ def test_beating_trace_on_a_far_well_matches_well_zero(beta):
     # the lattice is translation invariant: moving the three states and the
     # window by j only adds the phase e^{i j t'}
     x, j = 1.5, 1000
-    near = beating_trace(x, 0, beating_params(x, beta=beta),
+    near = beating_trace(0, beating_params(x, beta=beta),
                          t_end=2.0 * BLOCH_PERIOD)
     far_params = LatticeParams(nu=0.05, f=0.05 / x, beta=beta,
                                window=(WINDOW[0] + j, WINDOW[1] + j))
-    far = beating_trace(x, j, far_params, t_end=2.0 * BLOCH_PERIOD)
+    far = beating_trace(j, far_params, t_end=2.0 * BLOCH_PERIOD)
     assert far.norm_drift < 1e-10
     # abs=0: approx would otherwise admit any drift within 1e-12
     assert far.energy_drift == pytest.approx(near.energy_drift, rel=0.1, abs=0)

@@ -35,7 +35,7 @@ S01 = SolutionSet((0, 1))
 P01 = LatticeParams.for_set(S01, nu=2.0, f=1.0)
 STATE01 = build_state(S01, P01)
 BEAT = LatticeParams(nu=0.05, f=0.05 / 1.5, window=(-6, 6))
-BEAT_VECTOR = superposition_state(1.5, 0, BEAT)
+BEAT_VECTOR = superposition_state(0, BEAT)
 
 
 def below(bound):
@@ -68,7 +68,6 @@ ENTRY_POINTS = {
                              0.0, 1e-10),
     "beat_periods": (beat_periods, 1.0, 1.5),
     "beating_profile": (lambda v: beating_profile(v, None, 0.0), 1.0, 1.5),
-    "superposition_state": (lambda v: superposition_state(v, 0, BEAT), 1.0, 1.5),
     "evolve.t_end": (lambda v: evolve(BEAT_VECTOR, BEAT, t_end=v, dt=0.01),
                      0.0, 0.05),
     "evolve.dt": (lambda v: evolve(BEAT_VECTOR, BEAT, t_end=0.05, dt=v),
