@@ -121,9 +121,9 @@ class LatticeParams:
 
     def hopping(self, c: np.ndarray) -> np.ndarray:
         """Hopping term -beta (c_{l+1} + c_{l-1} + 2 c_l) of the lattice
-        operator.  The stationary residual calls it; `dynamics.evolve` folds
-        the same stencil into its RK4 increment, and a test holds the two
-        equal.
+        operator.  The stationary residual calls it, and `dynamics.evolve`
+        builds its linear propagator from `hopping(np.eye(m))`, the
+        operator's matrix, since the stencil acts along the first axis.
 
         Dirichlet window ends: neighbours outside the window are zero.
         """

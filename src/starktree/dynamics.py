@@ -26,13 +26,13 @@ from .errors import ConfigurationError, DomainError, IntegrationError, check_rea
 
 BLOCH_PERIOD = 2.0 * math.pi
 
-# Fixed-step classical RK4 is comfortably non-stiff at this resolution;
-# conservation is checked a posteriori rather than enforced.  A step is four
-# fused increments of 8 elementwise ops each, so its cost on the short
-# windows used here is numpy call overhead, not arithmetic.
+# 2048 steps per Bloch period.  At beta = 0 a step is exact up to round-off;
+# at beta > 0 the 4th-order composition keeps the splitting error of the
+# stationary and conservation tests well inside their bounds at this step.
 DEFAULT_DT = BLOCH_PERIOD / 2048
 
-NORM_DRIFT_LIMIT = 1e-6
+# Largest norm or energy drift that evolve accepts.
+DRIFT_LIMIT = 1e-6
 
 # Largest trace, in bytes of stored complex samples, that one evolve call
 # allocates; longer requests are refused before any allocation.
@@ -44,8 +44,10 @@ class DynamicsTrace:
     """Uniformly sampled complex coefficient history with its quality ledger.
 
     norm_drift is max |sum |c|^2 - 1| over the trace; energy_drift is the
-    max relative drift of the conserved energy functional, its tilt taken
-    relative to the window's middle site as in the integration.
+    max drift of the conserved energy functional, its tilt taken relative to
+    the window's middle site as in the integration, divided by the sum of
+    its three terms' magnitudes at t' = 0.  That scale cannot vanish (the
+    nonlinear term is at least nu/2W), while the energy itself can.
     """
 
     times: np.ndarray = field(repr=False)
@@ -108,20 +110,150 @@ def beating_profile(x, signs, t_prime):
     return complex(q) if np.isscalar(t_prime) else q
 
 
+def _band_width(z: float) -> int:
+    """Smallest b with every |U[l, l +- k]|, k > b, below 1e-16.
+
+    For U = exp(i tau H/f) the Dyson series bounds |U[l, l +- k]| by
+    z^k/k! e^z with z = 2 |beta tau|/f, since each order moves one site.
+    """
+    b, bound = 0, z * math.exp(z)
+    while bound > 1e-16:
+        b += 1
+        bound *= z / (b + 1)
+    return b
+
+
+def _diagonals(u: np.ndarray, b: int) -> np.ndarray:
+    """The (2b+1, m) band of the m x m matrix u: [b + k, i] = u[i, i + k],
+    zero where i + k is outside the matrix."""
+    m = u.shape[0]
+    padded = np.zeros((m, m + 2 * b), dtype=complex)
+    padded[:, b:b + m] = u
+    rows = np.arange(m)
+    return padded[rows, rows + np.arange(2 * b + 1)[:, None]]
+
+
+def _block_propagator(params: LatticeParams, tau: float, first: int, m: int,
+                      l0: int) -> np.ndarray:
+    """exp(i tau H/f) on the m sites from `first`, with Dirichlet ends.
+
+    H is the window operator: LatticeParams.hopping plus the tilt
+    f (l - l0).  eigh sees the tilt relative to the block's own middle
+    site; the constant remainder is a phase.
+    """
+    mid = m // 2
+    h = params.hopping(np.eye(m)) / params.f + np.diag(np.arange(m) - mid)
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(1j * tau * w)) @ v.T
+    # one Newton-Schulz pass: unitary to round-off, so the norm stays flat
+    u = 1.5 * u - 0.5 * (u @ (u.conj().T @ u))
+    return u * np.exp(1j * tau * (first + mid - l0))
+
+
+def _propagator_band(params: LatticeParams, tau: float, b: int) -> np.ndarray:
+    """U = exp(i tau H/f) on the whole window as its (2b+1, W) band.
+
+    Built in O(W b) for b >= 1: windows of up to 4b+5 sites are
+    propagated whole; wider ones take the 2b+2 rows at each end from an
+    eigh of a 4b+5-site edge block, and every other row from the edge
+    block's middle row, since away from the ends
+    U[l+1, m+1] = e^{i tau} U[l, m] (the tilt grows by f per site).
+    Entries beyond the band are below the _band_width bound.
+    """
+    lo, hi = params.window
+    width = hi - lo + 1
+    l0 = (lo + hi) // 2
+    m = 4 * b + 5
+    if width <= m:
+        return _diagonals(_block_propagator(params, tau, lo, width, l0), b)
+    left = _diagonals(_block_propagator(params, tau, lo, m, l0), b)
+    right = _diagonals(_block_propagator(params, tau, hi - m + 1, m, l0), b)
+    edge = 2 * b + 2
+    bands = left[:, edge:edge + 1] * np.exp(1j * tau * (np.arange(width) - edge))
+    bands[:, :edge] = left[:, :edge]
+    bands[:, -edge:] = right[:, -edge:]
+    return bands
+
+
+def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
+                 n_steps: int) -> np.ndarray:
+    """The n_steps + 1 states of evolve's split steps from c0, in the frame
+    of the window's middle site; the band buffers are freed on return,
+    before evolve's ledger runs."""
+    beta, nu, f = params.beta, params.nu, params.f
+    if beta > 0:
+        w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+        weights = (w1, 1.0 - 2.0 * w1, w1)
+    else:
+        weights = (1.0,)
+    width = c0.size
+    states = np.empty((n_steps + 1, width), dtype=complex)
+    states[0] = c0
+    # Yoshida's middle weight is negative, so the band follows |tau|
+    b = min(_band_width(2.0 * beta * max(map(abs, weights)) * dt / f),
+            width - 1)
+    if b == 0:
+        # U is the diagonal phase of H, which commutes with the nonlinear
+        # phase, so the stages of a step merge into one exact rotation
+        lo, hi = params.window
+        diagonal = 1j * dt * (params.window_sites - (lo + hi) // 2
+                              - 2.0 * beta / f)
+        nonlinear = 1j * dt * nu / f
+        for k in range(1, n_steps + 1):
+            c = states[k - 1]
+            np.multiply(c, np.exp(nonlinear * (c * c.conj()) + diagonal),
+                        out=states[k])
+        return states
+    bands = {w: _propagator_band(params, w * dt, b) for w in set(weights)}
+    # phase exponents per unit |c|^2: i nu/f times the phase's duration,
+    # half the first stage at each end of a step and, before each later
+    # stage, the merged halves of the two stages it joins
+    half = 0.5j * weights[0] * dt * nu / f
+    first = bands[weights[0]]
+    later = [(0.5j * (w_prev + w) * dt * nu / f, bands[w])
+             for w_prev, w in zip(weights, weights[1:])]
+
+    # U c is (band * shifted).sum(0): shifted[j] = pad[j:j + W] views the
+    # zero-padded stage input, so c_{l+k} sits under U[l, l+k]
+    pad = np.zeros(width + 2 * b, dtype=complex)
+    stage_in = pad[b:b + width]
+    shifted = np.lib.stride_tricks.sliding_window_view(pad, width)
+
+    h = np.exp(half * (c0 * c0.conj()))
+    for k in range(1, n_steps + 1):
+        np.multiply(states[k - 1], h, out=stage_in)
+        c = (first * shifted).sum(axis=0)
+        for coef, band in later:
+            np.multiply(c, np.exp(coef * (c * c.conj())), out=stage_in)
+            c = (band * shifted).sum(axis=0)
+        h = np.exp(half * (c * c.conj()))
+        np.multiply(c, h, out=states[k])
+    return states
+
+
 def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
            ) -> DynamicsTrace:
-    """Integrate the time-dependent lattice equation with fixed-step RK4.
+    """Integrate the time-dependent lattice equation by split steps.
 
-    `initial` is a normalized complex vector over the window.  Each RK4
-    stage is one increment dt * dc/dt' built from elementwise ops: the
-    hopping of LatticeParams.hopping written as a nearest-neighbour stencil
-    plus the nonlinear and tilt terms, with no BLAS call.  The loop
-    integrates c e^{-i l0 t'}, which sees the tilt f (l - l0) relative to
-    the window's middle site l0, so its accuracy does not depend on where
-    the window sits; the trace is turned back by e^{i l0 t'}.  The trace is
-    sampled every step; norm drift beyond 1e-6 raises IntegrationError
-    (use a smaller dt), and a trace above MAX_TRACE_BYTES is refused with
-    DomainError.
+    `initial` is a normalized complex vector over the window.  A Strang
+    step (Strang 1968) applies the exact nonlinear phase
+    exp(i dt nu |c|^2 / 2f), then the exact linear propagator
+    U = exp(i dt H/f), then the phase again; H is the window operator,
+    LatticeParams.hopping plus the tilt f (l - l0) relative to the window's
+    middle site l0, so accuracy does not depend on where the window sits;
+    the trace is turned back by e^{i l0 t'}.  At beta > 0 three Strang steps
+    of weights w1, w0, w1 make Yoshida's 4th-order step (Yoshida 1990), with
+    adjacent half-phases merged.  Each U is a band of half-width b, known
+    in advance from a Dyson-series bound, built once per call from LAPACK's
+    eigh on blocks of at most 4b+5 sites and applied without BLAS, so a
+    step is O(W b) and no W x W array is made.  Where b = 0, as at
+    beta = 0, U is diagonal and commutes with the phase, so a step is one
+    exact per-site rotation.
+
+    The trace is sampled every step.  A step that turns the nonlinear or
+    hopping rate, max(nu, 4 beta)/f, by more than pi, or a norm or energy
+    drift beyond DRIFT_LIMIT, raises IntegrationError (use a smaller dt); a
+    trace above MAX_TRACE_BYTES is refused with DomainError.
     """
     t_end = check_real(t_end, "t_end", above=0)
     dt = check_real(dt, "dt", above=0)
@@ -142,56 +274,38 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
             f"a trace of {n_steps + 1} samples of {c0.size} complex values "
             f"exceeds {MAX_TRACE_BYTES} bytes; shorten t_end or raise dt"
         )
-
-    sites = params.window_sites.astype(float)
     beta, nu, f = params.beta, params.nu, params.f
-    # on a distant well the absolute tilt l dt would cost RK4 accuracy that
-    # the physics, invariant under translation, does not need
-    lo, hi = params.window
-    l0 = (lo + hi) // 2
-    # dt * dc/dt' = dt_site*c + dt_nl*|c|^2 c + dt_hop*(c_{l+1} + c_{l-1}):
-    # the operator of LatticeParams.hopping plus the nonlinear and tilt
-    # terms, with dt and i/f folded into three constants
-    dt_site = (1j * dt / f) * (f * (sites - l0) - 2.0 * beta)
-    dt_nl = 1j * dt * nu / f
-    dt_hop = -1j * dt * beta / f
-
-    def increment(c):
-        k = (dt_site + dt_nl * (c * c.conj())) * c
-        hop = dt_hop * c
-        k[1:] += hop[:-1]
-        k[:-1] += hop[1:]
-        return k
+    rate = max(nu, 4.0 * beta) / f
+    if dt * rate > math.pi:
+        raise IntegrationError(
+            f"a step of {dt} turns the rate max(nu, 4 beta)/f = {rate:.6g} by "
+            f"more than pi; reduce dt below {math.pi / rate:.6g}"
+        )
 
     times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, c0.size), dtype=complex)
-    states[0] = c0
-    c = c0.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            k1 = increment(c)
-            k2 = increment(c + 0.5 * k1)
-            k3 = increment(c + 0.5 * k2)
-            k4 = increment(c + k3)
-            c = c + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-            states[k] = c
-        states *= np.exp(1j * l0 * times)[:, None]
+    states = _split_steps(c0, params, dt, n_steps)
+    lo, hi = params.window
+    l0 = (lo + hi) // 2
+    states *= np.exp(1j * l0 * times)[:, None]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        abs2 = np.abs(states) ** 2
-        norms = np.sum(abs2, axis=1)
-        norm_drift = float(np.max(np.abs(norms - 1.0)))
-        hops = 2.0 * np.real(np.sum(np.conj(states[:, :-1]) * states[:, 1:],
-                                    axis=1))
-        energies = (-beta * (hops + 2.0 * norms)
-                    + 0.5 * nu * np.sum(abs2 ** 2, axis=1)
-                    + f * abs2 @ (sites - l0))
-        scale = max(abs(energies[0]), 1e-30)
-        energy_drift = float(np.max(np.abs(energies - energies[0])) / scale)
-    if not math.isfinite(norm_drift) or norm_drift > NORM_DRIFT_LIMIT:
+    tilt = f * (params.window_sites - l0)
+    abs2 = np.abs(states) ** 2
+    norms = np.sum(abs2, axis=1)
+    norm_drift = float(np.max(np.abs(norms - 1.0)))
+    # row-wise sums by einsum, so no trace-sized temporary is made:
+    # Re(conj(c_l) c_{l+1}) and |c_l|^4
+    left, right = states[:, :-1], states[:, 1:]
+    hops = -beta * (2.0 * (np.einsum("ij,ij->i", left.real, right.real)
+                           + np.einsum("ij,ij->i", left.imag, right.imag))
+                    + 2.0 * norms)
+    nonlinear = 0.5 * nu * np.einsum("ij,ij->i", abs2, abs2)
+    energies = hops + nonlinear + abs2 @ tilt
+    scale = abs(hops[0]) + nonlinear[0] + abs2[0] @ np.abs(tilt)
+    energy_drift = float(np.max(np.abs(energies - energies[0])) / scale)
+    if not (norm_drift <= DRIFT_LIMIT and energy_drift <= DRIFT_LIMIT):
         raise IntegrationError(
-            f"norm drifted by {norm_drift:.3e} (> {NORM_DRIFT_LIMIT}); "
-            f"reduce dt below {dt}"
+            f"norm drifted by {norm_drift:.3e} and energy by "
+            f"{energy_drift:.3e} (limit {DRIFT_LIMIT}); reduce dt below {dt}"
         )
     return DynamicsTrace(times=times, states=states, window=params.window,
                          norm_drift=norm_drift, energy_drift=energy_drift)

@@ -75,11 +75,15 @@ def check_real(value, name: str, above: float | None = None,
                at_least: float | None = None) -> float:
     """`value` as a finite float, > above and >= at_least (either optional).
 
-    Python and numpy real scalars pass; booleans, strings, None, NaN, +-inf
-    and values outside the bounds raise DomainError naming `name`.
+    Python and numpy real scalars pass; booleans, strings, None, NaN, +-inf,
+    integers beyond the double range and values outside the bounds raise
+    DomainError naming `name`.
     """
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    number = float(value) if real else math.nan
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:
+        number = math.inf
     if not math.isfinite(number):
         raise DomainError(f"{name} must be a finite real number, got {value!r}")
     if above is not None and number <= above:

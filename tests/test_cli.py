@@ -529,6 +529,34 @@ def test_evolve_initial_refuses_a_boolean_tilt(tmp_path, capsys):
     assert "f must be a finite real number" in capsys.readouterr().err
 
 
+def test_evolve_initial_refuses_a_nonlinearity_beyond_double_range(
+        tmp_path, capsys):
+    # json reads a 400-digit integer exactly; float() of it overflows
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({
+        "nu": 10 ** 400, "f": 1.0, "beta": 0.0, "window": [-2, 2],
+        "coefficients": {"0": 1.0},
+    }))
+    assert run(["evolve", "--initial", str(state_path)]) == 2
+    assert "nu must be a finite real number" in capsys.readouterr().err
+
+
+def test_evolve_of_an_unresolved_step_exits_5(tmp_path, capsys):
+    # the inputs of test_dynamics' breakdown test, as a state file
+    params = LatticeParams(nu=1.5, f=0.01, beta=0.5, window=(-6, 6))
+    vector = starktree.superposition_state(0, params)
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({
+        "nu": params.nu, "f": params.f, "beta": params.beta,
+        "window": list(params.window),
+        "coefficients": {str(site): float(value.real) for site, value
+                         in zip(params.window_sites, vector)},
+    }))
+    assert run(["evolve", "--initial", str(state_path), "--t-end", "40",
+                "--dt", "0.5"]) == 5
+    assert "reduce dt" in capsys.readouterr().err
+
+
 @pytest.fixture
 def no_large_zeros(monkeypatch):
     """np.zeros fails for anything larger than the window cap."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from starktree import (
     spectrum,
     superposition_state,
 )
-from starktree.dynamics import MAX_TRACE_BYTES
+from starktree.anticontinuum import MAX_WINDOW_SITES
+from starktree.dynamics import DEFAULT_DT, MAX_TRACE_BYTES
 
 WINDOW = (-6, 6)
 
@@ -184,27 +186,74 @@ def test_integrator_fourth_order():
     assert 12.0 < e_coarse / e_fine < 20.0
 
 
-def test_evolve_step_is_rk4_on_the_lattice_operator():
-    # one step of evolve against a textbook RK4 step written with
-    # LatticeParams.hopping, the operator continuation also uses
-    rng = np.random.default_rng(4)
-    p = LatticeParams(nu=1.5, f=0.7, beta=0.1, window=WINDOW)
-    c0 = rng.normal(size=p.window_size) + 1j * rng.normal(size=p.window_size)
-    c0 /= np.linalg.norm(c0)
+def rk4_trace(initial, p, t_end, dt):
+    """Textbook classical RK4 of the lattice equation, written with
+    LatticeParams.hopping (the operator continuation also uses) and the
+    absolute tilt f l: the reference for evolve at finite hopping."""
     sites = p.window_sites
 
     def rhs(c):
         return 1j / p.f * (p.hopping(c) + p.nu * np.abs(c) ** 2 * c
                            + p.f * sites * c)
 
-    dt = 0.01
-    k1 = rhs(c0)
-    k2 = rhs(c0 + 0.5 * dt * k1)
-    k3 = rhs(c0 + 0.5 * dt * k2)
-    k4 = rhs(c0 + dt * k3)
-    expected = c0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    n_steps = round(t_end / dt)
+    states = np.empty((n_steps + 1, initial.size), dtype=complex)
+    states[0] = c = initial
+    for k in range(1, n_steps + 1):
+        k1 = rhs(c)
+        k2 = rhs(c + 0.5 * dt * k1)
+        k3 = rhs(c + 0.5 * dt * k2)
+        k4 = rhs(c + dt * k3)
+        states[k] = c = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return states
+
+
+def window_operator(p):
+    """H/f over the whole window: LatticeParams.hopping applied to the
+    identity's columns, plus the absolute tilt f l."""
+    columns = [p.hopping(column) for column in np.eye(p.window_size)]
+    return np.column_stack(columns) / p.f + np.diag(p.window_sites.astype(float))
+
+
+def split_step(c, p, dt):
+    """Yoshida's triple jump of Strang steps (phase, propagator, phase),
+    unmerged, with dense propagators from one full-window eigh."""
+    eigenvalues, vectors = np.linalg.eigh(window_operator(p))
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    for w in (w1, 1.0 - 2.0 * w1, w1):
+        tau = w * dt
+        c = c * np.exp(0.5j * tau * p.nu / p.f * np.abs(c) ** 2)
+        c = vectors @ (np.exp(1j * tau * eigenvalues) * (vectors.T @ c))
+        c = c * np.exp(0.5j * tau * p.nu / p.f * np.abs(c) ** 2)
+    return c
+
+
+@pytest.mark.parametrize("window, dt", [
+    (WINDOW, 0.01),
+    # 300 sites: the edge rows come from edge blocks, the rest from one row
+    ((-150, 149), 0.01),
+    # beta |tau|/f up to 0.24, so the band reaches 14 sites on each side
+    ((-150, 149), 1.0),
+], ids=["13_sites", "300_sites", "300_sites_wide_band"])
+def test_evolve_step_is_the_split_step_of_the_full_window_propagator(window,
+                                                                    dt):
+    rng = np.random.default_rng(4)
+    p = LatticeParams(nu=1.5, f=0.7, beta=0.1, window=window)
+    c0 = rng.normal(size=p.window_size) + 1j * rng.normal(size=p.window_size)
+    c0 /= np.linalg.norm(c0)
     step = evolve(c0, p, t_end=dt, dt=dt).states[1]
-    assert np.max(np.abs(step - expected)) < 1e-14
+    assert np.max(np.abs(step - split_step(c0, p, dt))) < 1e-13
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.1])
+def test_evolve_matches_rk4_at_finite_hopping(beta):
+    p = LatticeParams(nu=1.5, f=1.0, beta=beta, window=WINDOW)
+    initial = superposition_state(0, p)
+    t_end = 0.5 * BLOCH_PERIOD
+    trace = evolve(initial, p, t_end=t_end)
+    reference = rk4_trace(initial, p, t_end, DEFAULT_DT / 8)[::8]
+    assert reference.shape == trace.states.shape
+    assert np.max(np.abs(trace.states - reference)) < 1e-11
 
 
 def test_evolve_validation():
@@ -238,12 +287,61 @@ def test_evolve_matches_exact_zero_hopping_solution():
     assert np.max(np.abs(trace.states - exact)) < 1e-10
 
 
-def test_evolve_flags_norm_drift():
-    # absurdly large steps wreck conservation and must be reported
+def test_zero_hopping_step_is_exact_at_any_resolved_dt():
+    # at beta = 0 the phase and the tilt commute, so the one-stage step is
+    # the exact per-site solution however coarse the step
+    rng = np.random.default_rng(9)
+    p = LatticeParams(nu=0.8, f=1.3, beta=0.0, window=(-3, 4))
+    initial = rng.normal(size=p.window_size) + 1j * rng.normal(size=p.window_size)
+    initial /= np.linalg.norm(initial)
+    trace = evolve(initial, p, t_end=200.0, dt=1.0)
+    rates = p.nu * np.abs(initial) ** 2 / p.f + p.window_sites
+    exact = initial * np.exp(1j * rates * trace.times[:, None])
+    assert np.max(np.abs(trace.states - exact)) < 1e-12
+
+
+def test_evolve_flags_an_unresolved_step():
+    # absurdly large steps must be reported: here dt nu/f = 75 rad a step.
+    # A unitary step keeps the norm, so the norm alone cannot show it.
     p = LatticeParams(nu=1.5, f=0.01, beta=0.5, window=WINDOW)
     initial = superposition_state(0, p)
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError, match="reduce dt"):
         evolve(initial, p, t_end=40.0, dt=0.5)
+
+
+def test_evolve_flags_energy_drift():
+    # resolved (dt max(nu, 4 beta)/f = 2 < pi) but far too coarse: the
+    # norm holds to round-off and the energy drifts
+    p = LatticeParams(nu=1.5, f=1.0, beta=0.5, window=WINDOW)
+    initial = superposition_state(0, p)
+    with pytest.raises(IntegrationError, match="energy"):
+        evolve(initial, p, t_end=40.0, dt=1.0)
+
+
+def test_energy_drift_scale_does_not_vanish():
+    # a delta one site below l0 with nu = 2f has energy nu/2 - f = 0 in
+    # the l0 frame; relative to |E(0)| its round-off would read as breakdown
+    p = LatticeParams(nu=1.0, f=0.5, beta=0.0, window=(-4, 4))
+    initial = np.zeros(p.window_size, dtype=complex)
+    initial[-1 - p.window[0]] = 1.0
+    trace = evolve(initial, p, t_end=4.0 * BLOCH_PERIOD)
+    assert trace.energy_drift < 1e-10
+
+
+def test_wide_window_step_stays_banded():
+    # at the window cap one dense W x W complex propagator is 268 MB
+    lo = -(MAX_WINDOW_SITES // 2)
+    p = LatticeParams(nu=1.5, f=1.0, beta=0.01,
+                      window=(lo, lo + MAX_WINDOW_SITES - 1))
+    initial = superposition_state(0, p)
+    tracemalloc.start()
+    try:
+        trace = evolve(initial, p, t_end=8 * DEFAULT_DT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.times.size == 9
+    assert peak - trace.states.nbytes - trace.times.nbytes < 32 << 20
 
 
 def test_evolve_refuses_oversized_trace_before_allocating():

@@ -1,8 +1,8 @@
 """The one real-number check behind every real-valued argument.
 
 Each public entry point that takes a real must refuse a string, None, NaN,
-+inf and the first value outside its bound with DomainError, and accept a
-numpy scalar.
++inf, an integer beyond the double range and the first value outside its
+bound with DomainError, and accept a numpy scalar.
 """
 
 import math
@@ -78,7 +78,7 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_real_arguments_are_checked(entry):
     call, refused, accepted = ENTRY_POINTS[entry]
-    for bad in ("3", None, True, math.nan, math.inf, refused):
+    for bad in ("3", None, True, math.nan, math.inf, 10 ** 400, refused):
         with pytest.raises(DomainError):
             call(bad)
     call(np.float64(accepted))
@@ -96,3 +96,7 @@ def test_check_real_bounds_and_messages():
         check_real(1.0, "x", above=1)
     with pytest.raises(DomainError, match="finite real number, got '3'"):
         check_real("3", "x")
+    # float() of these raises OverflowError, which must not escape
+    for huge in (10 ** 400, -10 ** 400):
+        with pytest.raises(DomainError, match="nu must be a finite real number"):
+            check_real(huge, "nu")
