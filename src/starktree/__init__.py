@@ -36,7 +36,6 @@ from .anticontinuum import (
     energy_of_set,
     enumerate_solution_sets,
     translate_state,
-    zero_hopping_residual,
 )
 from .continuation import (
     ContinuationResult,
@@ -99,7 +98,6 @@ __all__ = [
     "spectrum",
     "superposition_state",
     "translate_state",
-    "zero_hopping_residual",
 ]
 
 __version__ = "0.1.0"

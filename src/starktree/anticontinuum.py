@@ -7,6 +7,10 @@ with mu = nu/N + (f/N) sum(S).  Reality of the amplitudes demands
 nu/f > sum of the complementary set {max S - l}, which is the branch's
 birth threshold.  This module enumerates the admissible sets, builds the
 states, and assembles the bifurcation tree of energies over nu/f.
+
+`LatticeParams` holds the lattice operator once: the hopping stencil and,
+beside it, the full stationary residual at any beta, which the self-checks
+here and the Newton continuation both evaluate.
 """
 
 from __future__ import annotations
@@ -121,9 +125,9 @@ class LatticeParams:
 
     def hopping(self, c: np.ndarray) -> np.ndarray:
         """Hopping term -beta (c_{l+1} + c_{l-1} + 2 c_l) of the lattice
-        operator.  The stationary residual calls it, and `dynamics.evolve`
-        builds its linear propagator from `hopping(np.eye(m))`, the
-        operator's matrix, since the stencil acts along the first axis.
+        operator.  `residual` calls it, and the continuation Jacobian and
+        `dynamics.evolve`'s linear propagator start from `hopping(np.eye(m))`,
+        the operator's matrix, since the stencil acts along the first axis.
 
         Dirichlet window ends: neighbours outside the window are zero.
         """
@@ -131,6 +135,14 @@ class LatticeParams:
         hop[:-1] += c[1:]
         hop[1:] += c[:-1]
         return -self.beta * (hop + 2.0 * c)
+
+    def residual(self, c: np.ndarray, mu: float) -> np.ndarray:
+        """The stationary equation every branch solves, mu c_l = -beta
+        (c_{l+1} + c_{l-1} + 2 c_l) + nu c_l^3 + f l c_l, as one residual
+        row per site, with the normalization row sum c^2 - 1 appended."""
+        r = (self.hopping(c) + self.nu * c ** 3
+             + self.f * self.window_sites * c - mu * c)
+        return np.append(r, np.sum(c ** 2) - 1.0)
 
     def covers(self, sset: SolutionSet) -> bool:
         lo, hi = self.window
@@ -253,21 +265,13 @@ def _normalize_signs(signs, n: int) -> tuple[int, ...]:
     return out
 
 
-def zero_hopping_residual(state: StationaryState) -> np.ndarray:
-    """Residual of the decoupled stationary equations,
-    nu c^3 + f l c - mu c, over the window."""
-    c = state.coefficients
-    sites = state.window_sites
-    p = state.params
-    return p.nu * c ** 3 + p.f * sites * c - state.mu * c
-
-
 def build_state(sset: SolutionSet, params: LatticeParams,
                 signs=None) -> StationaryState:
     """Exact zero-hopping state on the set with the given sign pattern.
 
     Amplitudes are +-sqrt((mu - f l)/nu) on the set and zero elsewhere;
-    sum c^2 = 1 and the stationary equation hold identically and are checked.
+    sum c^2 = 1 and the stationary equation at zero hopping hold
+    identically and are checked together through `LatticeParams.residual`.
 
     Raises InadmissibleSetError below the birth threshold,
     ConfigurationError when the window does not pad the support by at
@@ -291,14 +295,13 @@ def build_state(sset: SolutionSet, params: LatticeParams,
     coeff = np.zeros(params.window_size)
     for s, sgn in zip(sset.sites, sign_tuple):
         coeff[s - lo] = sgn * math.sqrt((mu - params.f * s) / params.nu)
-    state = StationaryState(params=params, coefficients=coeff, mu=mu,
-                            set=sset, signs=sign_tuple)
-    residual = np.max(np.abs(zero_hopping_residual(state)))
-    if not (abs(state.norm_sq() - 1.0) < NORMALIZATION_TOL
-            and residual < NORMALIZATION_TOL):
+    # the self-check is at zero hopping, whatever beta the params carry
+    residual = np.max(np.abs(replace(params, beta=0.0).residual(coeff, mu)))
+    if not residual < NORMALIZATION_TOL:
         raise DomainError(f"set {sset.sites} at nu/f = {x} is beyond double "
                           f"precision (self-check over {NORMALIZATION_TOL})")
-    return state
+    return StationaryState(params=params, coefficients=coeff, mu=mu,
+                           set=sset, signs=sign_tuple)
 
 
 def translate_state(state: StationaryState, j) -> StationaryState:
@@ -329,7 +332,7 @@ def translate_state(state: StationaryState, j) -> StationaryState:
     out = StationaryState(params=p, coefficients=coeff,
                           mu=state.mu + j * p.f, set=new_set, signs=state.signs)
     if new_set is not None and p.beta == 0:
-        residual = np.max(np.abs(zero_hopping_residual(out)))
+        residual = np.max(np.abs(p.residual(coeff, out.mu)))
         if not residual < NORMALIZATION_TOL:
             raise DomainError(f"set {new_set.sites} at nu/f = {p.ratio} is "
                               f"beyond double precision (self-check over "

@@ -307,10 +307,15 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
         if not isinstance(coefficients, dict):
             raise DomainError("coefficients must be an object keyed by site, "
                               f"got {type(coefficients).__name__}")
-        for site, value in coefficients.items():
-            if not lo <= int(site) <= hi:
+        for key, value in coefficients.items():
+            site = int(key)
+            # "00", "1_0" or " 1" would alias the site int() reads them as
+            if str(site) != key:
+                raise DomainError(
+                    f"site key {key!r} is not a canonical integer")
+            if not lo <= site <= hi:
                 raise DomainError(f"site {site} outside window [{lo}, {hi}]")
-            vector[int(site) - lo] = check_real(
+            vector[site - lo] = check_real(
                 value, f"coefficient at site {site}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"state file {path} is not usable: {exc}") from exc

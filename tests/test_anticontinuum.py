@@ -19,11 +19,11 @@ from starktree import (
     complementary_set,
     consecutive_threshold,
     counting_function,
+    dnls_residual,
     energy_of_set,
     enumerate_solution_sets,
     q_distinct,
     translate_state,
-    zero_hopping_residual,
 )
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def test_build_normalization_and_residual_everywhere():
         p = LatticeParams.for_set(s, nu=x * 0.7, f=0.7)
         st = build_state(s, p)
         assert abs(st.norm_sq() - 1.0) < 1e-12
-        assert np.max(np.abs(zero_hopping_residual(st))) < 1e-12
+        assert np.max(np.abs(dnls_residual(st))) < 1e-12
 
 
 def test_sign_degeneracy():
@@ -191,7 +191,7 @@ def test_sign_degeneracy():
     for signs in itertools.product((1, -1), repeat=3):
         st = build_state(s, p, signs=signs)
         assert st.mu == reference.mu
-        assert np.max(np.abs(zero_hopping_residual(st))) < 1e-12
+        assert np.max(np.abs(dnls_residual(st))) < 1e-12
         assert np.allclose(np.abs(st.coefficients),
                            np.abs(reference.coefficients), atol=1e-15)
 

@@ -316,6 +316,25 @@ def test_state_resonant_exit_code(capsys):
     assert run(["state", "--set", "0", "--x", "1.0", "--beta", "0.01"]) == 4
 
 
+# nu/f = 1 + 2^-52 on {0, 1}: T_1 = 2(1 - f/mu) rounds to 0.0 on an occupied
+# site, so the zero-hopping certificate is zero
+ZERO_CERTIFICATE = ["--set", "0,1", "--x", "1.0000000000000002"]
+
+
+@pytest.mark.parametrize("command", [["continue"], ["evolve", "--t-end", "1"]])
+def test_zero_certificate_exits_4(capsys, command):
+    assert run([*command, *ZERO_CERTIFICATE, "--beta", "0.001"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_state_of_a_zero_certificate_writes_null(tmp_path):
+    out = tmp_path / "state.json"
+    assert run(["state", *ZERO_CERTIFICATE, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["certificate"] is None
+
+
 def test_state_sign_pattern_and_seeded_random(tmp_path):
     out = tmp_path / "state.json"
     assert run(["state", "--set", "0,1", "--x", "1.5", "--signs", "+-",
@@ -506,6 +525,11 @@ def test_evolve_initial_file_runs(tmp_path):
     # normalized if read as 1, as numpy would store either value
     (None, {"0": True}, "coefficient at site 0"),
     (None, {"0": "1"}, "coefficient at site 0"),
+    # keys int() reads as sites another key may name: "00" would overwrite
+    # site 0 (read as c_0 = 1, normalized), "1_0" would be site 10
+    ("00", 1.0, "not a canonical integer"),
+    ("1_0", 0.8, "not a canonical integer"),
+    (" 1", 0.8, "not a canonical integer"),
 ])
 def test_evolve_initial_refuses_bad_coefficients(tmp_path, capsys, site,
                                                  value, message):

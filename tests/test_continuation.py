@@ -44,7 +44,7 @@ def test_residual_hand_computed_for_hopped_singleton():
     # c = delta_0, mu = nu, beta = 0.1: the hopping term alone survives
     p = params_for(S0, 2.0)
     st = build_state(S0, p)
-    r = dnls_residual(st, replace(p, beta=0.1))
+    r = dnls_residual(replace(st, params=replace(p, beta=0.1)))
     lo = p.window[0]
     assert r[0 - lo] == pytest.approx(-0.2, rel=1e-12)
     assert r[1 - lo] == pytest.approx(-0.1, rel=1e-12)
@@ -66,7 +66,7 @@ def test_residual_window_mismatch_rejected():
     st = build_state(S0, params_for(S0, 2.0))
     other = LatticeParams(nu=2.0, f=1.0, window=(-9, 9))
     with pytest.raises(ConfigurationError):
-        dnls_residual(st, other)
+        newton_solve(st, other)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,15 @@ def test_t0_resonance_detected():
         jacobian_diagonal_t0(st)
 
 
+def test_t0_zero_certificate_is_resonance():
+    # nu/f = 1 + 2^-52 on {0, 1}: T_1 = 2(1 - f/mu) rounds to 0.0 on an
+    # occupied site, far from any empty rung
+    sset = SolutionSet((0, 1))
+    st = build_state(sset, params_for(sset, 1.0000000000000002))
+    with pytest.raises(ResonanceError, match="certificate"):
+        jacobian_diagonal_t0(st)
+
+
 def test_t0_requires_positive_energy():
     # {-5} at nu = f = 1 is admissible with mu = 1 - 5 = -4: the rescaling
     # by mu behind the certificate is undefined
@@ -127,7 +136,7 @@ def test_t0_requires_positive_energy():
 # Jacobian vs central finite differences
 
 
-def fd_jacobian(state, params, h=1e-6):
+def fd_jacobian(state, h=1e-6):
     size = state.coefficients.size + 1
     jac = np.zeros((size, size))
     for k in range(size - 1):
@@ -135,31 +144,51 @@ def fd_jacobian(state, params, h=1e-6):
         cm = state.coefficients.copy()
         cp[k] += h
         cm[k] -= h
-        rp = dnls_residual(replace(state, coefficients=cp), params)
-        rm = dnls_residual(replace(state, coefficients=cm), params)
+        rp = dnls_residual(replace(state, coefficients=cp))
+        rm = dnls_residual(replace(state, coefficients=cm))
         jac[:, k] = (rp - rm) / (2.0 * h)
-    rp = dnls_residual(replace(state, mu=state.mu + h), params)
-    rm = dnls_residual(replace(state, mu=state.mu - h), params)
+    rp = dnls_residual(replace(state, mu=state.mu + h))
+    rm = dnls_residual(replace(state, mu=state.mu - h))
     jac[:, -1] = (rp - rm) / (2.0 * h)
     return jac
 
 
-def test_jacobian_matches_finite_differences():
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        window = (-4, 5)
+def random_states(seed, count, window=(-4, 5)):
+    """Normalized random states with random nu, f, beta and mu."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         p = LatticeParams(nu=float(rng.uniform(0.5, 3.0)),
                           f=float(rng.uniform(0.4, 2.0)),
                           beta=float(rng.uniform(0.0, 0.3)),
                           window=window)
         c = rng.normal(size=p.window_size)
         c /= np.linalg.norm(c)
-        st = StationaryState(params=p, coefficients=c,
-                             mu=float(rng.uniform(-1.0, 3.0)))
+        yield StationaryState(params=p, coefficients=c,
+                              mu=float(rng.uniform(-1.0, 3.0)))
+
+
+def test_jacobian_matches_finite_differences():
+    for st in random_states(29, 10):
         analytic = extended_jacobian(st)
-        numeric = fd_jacobian(st, p)
+        numeric = fd_jacobian(st)
         scale = np.max(np.abs(analytic))
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-6
+
+
+def test_jacobian_is_bit_for_bit_the_written_out_formula():
+    # every Newton iterate, and with it every continuation golden, rests on
+    # these entries; the finite-difference check cannot see how the
+    # diagonal terms are associated
+    for st in random_states(37, 200, window=(-7, 6)):
+        p, c, w = st.params, st.coefficients, st.coefficients.size
+        expected = np.zeros((w + 1, w + 1))
+        expected[:w, :w] = np.diag(-2.0 * p.beta + 3.0 * p.nu * c ** 2
+                                   + p.f * p.window_sites - st.mu)
+        expected[:w, :w] += (np.diag(np.full(w - 1, -p.beta), 1)
+                             + np.diag(np.full(w - 1, -p.beta), -1))
+        expected[:w, w] = -c
+        expected[w, :w] = 2.0 * c
+        assert np.array_equal(extended_jacobian(st), expected)
 
 
 def test_hopping_operator_is_the_jacobian_off_diagonal():
@@ -228,11 +257,12 @@ def test_newton_rejects_unnormalized_guess():
         newton_solve(nan_guess, p)
 
 
-def test_newton_nonconvergence_carries_residual():
+def test_newton_nonconvergence_carries_residual(monkeypatch):
     p = params_for(S0, 2.0)
     st = build_state(S0, p)
+    monkeypatch.setattr(continuation, "NEWTON_MAX_ITER", 1)
     with pytest.raises(SolverError) as err:
-        newton_solve(st, replace(p, beta=0.3), max_iter=1)
+        newton_solve(st, replace(p, beta=0.3))
     assert err.value.residual is not None
 
 
@@ -329,11 +359,12 @@ def test_continuation_step_count_is_bounded(monkeypatch):
     assert len(result.path) == continuation.MAX_CONTINUATION_STEPS + 1
 
 
-def test_continuation_failure_carries_partial_path():
+def test_continuation_failure_carries_partial_path(monkeypatch):
     # a hopelessly large single step starves Newton of its basin
     p = params_for(S0, 0.5)
+    monkeypatch.setattr(continuation, "NEWTON_MAX_ITER", 6)
     with pytest.raises(SolverError) as err:
-        continue_in_beta(S0, p, 50.0, steps=2, max_iter=6)
+        continue_in_beta(S0, p, 50.0, steps=2)
     assert len(err.value.path) >= 1
     assert err.value.path[0][0] == 0.0
 

@@ -26,7 +26,6 @@ from starktree import (
     enumerate_solution_sets,
     evolve,
     jacobian_diagonal_t0,
-    newton_solve,
     superposition_state,
 )
 from starktree.errors import check_real
@@ -61,11 +60,8 @@ ENTRY_POINTS = {
     "jacobian_diagonal_t0.mu": (
         lambda v: jacobian_diagonal_t0(replace(STATE01, mu=v)), 0.0,
         STATE01.mu),
-    "newton_solve.tol": (lambda v: newton_solve(STATE01, P01, tol=v), 0.0, 1e-10),
     "continue_in_beta.beta_target": (lambda v: continue_in_beta(S01, P01, v),
                                      below(0.0), 0.0),
-    "continue_in_beta.tol": (lambda v: continue_in_beta(S01, P01, 0.0, tol=v),
-                             0.0, 1e-10),
     "beat_periods": (beat_periods, 1.0, 1.5),
     "beating_profile": (lambda v: beating_profile(v, None, 0.0), 1.0, 1.5),
     "evolve.t_end": (lambda v: evolve(BEAT_VECTOR, BEAT, t_end=v, dt=0.01),
