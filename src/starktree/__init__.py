@@ -47,7 +47,6 @@ from .continuation import (
 )
 from .dynamics import (
     BLOCH_PERIOD,
-    BeatingPrediction,
     DynamicsTrace,
     beat_periods,
     beating_profile,
@@ -59,7 +58,6 @@ from .dynamics import (
 
 __all__ = [
     "BLOCH_PERIOD",
-    "BeatingPrediction",
     "BifurcationTree",
     "Branch",
     "ConfigurationError",

@@ -74,12 +74,6 @@ class SolutionSet:
     def translated(self, j: int) -> "SolutionSet":
         return SolutionSet(tuple(s + j for s in self.sites))
 
-    def __iter__(self):
-        return iter(self.sites)
-
-    def __len__(self):
-        return len(self.sites)
-
     def __contains__(self, site):
         return site in self.sites
 
@@ -162,19 +156,14 @@ class LatticeParams:
 class StationaryState:
     """Coefficient vector over the window plus its energy mu.
 
-    `set` and `signs` record the zero-hopping provenance; both become None
-    once Newton continuation has smeared the support over the whole window.
+    `set` records the zero-hopping support; it becomes None once Newton
+    continuation has smeared the support over the whole window.
     """
 
     params: LatticeParams
     coefficients: np.ndarray = field(repr=False)
     mu: float
     set: SolutionSet | None = None
-    signs: tuple[int, ...] | None = None
-
-    @property
-    def window_sites(self) -> np.ndarray:
-        return self.params.window_sites
 
     def coefficient_at(self, site: int) -> float:
         lo, hi = self.params.window
@@ -295,13 +284,23 @@ def build_state(sset: SolutionSet, params: LatticeParams,
     coeff = np.zeros(params.window_size)
     for s, sgn in zip(sset.sites, sign_tuple):
         coeff[s - lo] = sgn * math.sqrt((mu - params.f * s) / params.nu)
-    # the self-check is at zero hopping, whatever beta the params carry
-    residual = np.max(np.abs(replace(params, beta=0.0).residual(coeff, mu)))
+    return _self_checked(StationaryState(params=params, coefficients=coeff,
+                                         mu=mu, set=sset))
+
+
+def _self_checked(state: StationaryState) -> StationaryState:
+    """`state`, once it passes the zero-hopping self-check: the stationary
+    equation at beta = 0, whatever beta its params carry, and the
+    normalization, both to NORMALIZATION_TOL.  Raises DomainError where
+    round-off breaks them."""
+    p = state.params
+    residual = np.max(np.abs(replace(p, beta=0.0).residual(state.coefficients,
+                                                           state.mu)))
     if not residual < NORMALIZATION_TOL:
-        raise DomainError(f"set {sset.sites} at nu/f = {x} is beyond double "
-                          f"precision (self-check over {NORMALIZATION_TOL})")
-    return StationaryState(params=params, coefficients=coeff, mu=mu,
-                           set=sset, signs=sign_tuple)
+        raise DomainError(f"set {state.set.sites} at nu/f = {p.ratio} is "
+                          "beyond double precision (self-check over "
+                          f"{NORMALIZATION_TOL})")
+    return state
 
 
 def translate_state(state: StationaryState, j) -> StationaryState:
@@ -330,13 +329,9 @@ def translate_state(state: StationaryState, j) -> StationaryState:
             f"translation by {j} pushes {lost:.3g} of the norm out of the window"
         )
     out = StationaryState(params=p, coefficients=coeff,
-                          mu=state.mu + j * p.f, set=new_set, signs=state.signs)
+                          mu=state.mu + j * p.f, set=new_set)
     if new_set is not None and p.beta == 0:
-        residual = np.max(np.abs(p.residual(coeff, out.mu)))
-        if not residual < NORMALIZATION_TOL:
-            raise DomainError(f"set {new_set.sites} at nu/f = {p.ratio} is "
-                              f"beyond double precision (self-check over "
-                              f"{NORMALIZATION_TOL})")
+        return _self_checked(out)
     return out
 
 

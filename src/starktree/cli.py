@@ -139,7 +139,7 @@ def _lattice_params(args: argparse.Namespace, sset: SolutionSet) -> LatticeParam
 def _coefficients(state: StationaryState) -> dict:
     """The coefficient vector keyed by lattice site, as written to JSON."""
     return {str(site): float(value)
-            for site, value in zip(state.window_sites, state.coefficients)}
+            for site, value in zip(state.params.window_sites, state.coefficients)}
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -212,51 +212,58 @@ def cmd_tree(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _state_payload(args: argparse.Namespace) -> dict:
+def _resolve_set(args: argparse.Namespace
+                 ) -> tuple[SolutionSet, LatticeParams, tuple[int, ...]]:
+    """--set as its solution set, the lattice params around it and its signs."""
     sset = SolutionSet(args.set)
-    params = _lattice_params(args, sset)
-    signs = _resolve_signs(args, sset.cardinality)
+    return sset, _lattice_params(args, sset), _resolve_signs(args, sset.cardinality)
+
+
+def _state_at_beta(args: argparse.Namespace):
+    """The state of --set at --beta: (set, signs, state, T(0) certificate).
+
+    At beta = 0 the zero-hopping state exists even where its certificate
+    does not, at a resonant mu/f or at mu <= 0, where the rescaling by mu is
+    undefined; the certificate is then None.
+    """
+    sset, params, signs = _resolve_set(args)
     if args.beta > 0:
         result = continue_in_beta(sset, params, args.beta,
                                   steps=args.steps, signs=signs)
-        state, certificate = result.state, result.certificate
-    else:
-        # the zero-hopping state exists even when its continuation
-        # certificate does not (resonant mu/f): emit it with a null
-        state = build_state(sset, params, signs=signs)
-        try:
-            _, certificate = jacobian_diagonal_t0(state)
-        except ResonanceError:
-            certificate = None
-    residual = float(np.max(np.abs(dnls_residual(state))))
-    lo, hi = params.window
-    return {
-        "set": list(sset.sites),
-        "signs": list(signs),
-        "nu": params.nu,
-        "f": params.f,
-        "beta": args.beta,
-        "window": [lo, hi],
-        "mu": state.mu,
-        "coefficients": _coefficients(state),
-        "certificate": certificate,
-        "residual_norm": residual,
-    }
+        return sset, signs, result.state, result.certificate
+    state = build_state(sset, params, signs=signs)
+    try:
+        _, certificate = jacobian_diagonal_t0(state)
+    except (ResonanceError, DomainError):
+        certificate = None
+    return sset, signs, state, certificate
 
 
 def cmd_state(args: argparse.Namespace) -> int:
     if args.set is None:
         raise DomainError("state needs --set")
-    _emit(args.out, (json.dumps(_state_payload(args), indent=2) + "\n",))
+    sset, signs, state, certificate = _state_at_beta(args)
+    lo, hi = state.params.window
+    payload = {
+        "set": list(sset.sites),
+        "signs": list(signs),
+        "nu": state.params.nu,
+        "f": state.params.f,
+        "beta": args.beta,
+        "window": [lo, hi],
+        "mu": state.mu,
+        "coefficients": _coefficients(state),
+        "certificate": certificate,
+        "residual_norm": float(np.max(np.abs(dnls_residual(state)))),
+    }
+    _emit(args.out, (json.dumps(payload, indent=2) + "\n",))
     return EXIT_OK
 
 
 def cmd_continue(args: argparse.Namespace) -> int:
     if args.set is None:
         raise DomainError("continue needs --set")
-    sset = SolutionSet(args.set)
-    params = _lattice_params(args, sset)
-    signs = _resolve_signs(args, sset.cardinality)
+    sset, params, signs = _resolve_set(args)
     payload = {
         "set": list(sset.sites),
         "signs": list(signs),
@@ -323,28 +330,29 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
 
 
 def _evolve_trace(args: argparse.Namespace):
-    """Pick the evolution mode; returns (trace, params, spectrum site, x)."""
+    """Pick the evolution mode; returns (trace, spectrum site, x)."""
     if args.initial is not None:
+        # the state file fixes the model; an option it would ignore is refused
+        ignored = [f"--{name}" for name in ("x", "nu", "f", "set", "signs", "seed")
+                   if getattr(args, name) is not None]
+        if args.beta != 0:
+            ignored.append("--beta")
+        if ignored:
+            raise DomainError("--initial takes the model from the state file; "
+                              f"drop {', '.join(ignored)}")
         vector, params = load_state_vector(args.initial)
         trace = dynamics.evolve(vector, params, args.t_end, args.dt)
         if args.site is not None:
             site = args.site
         else:
             site = int(params.window[0] + np.argmax(np.abs(vector)))
-        return trace, params, site, params.ratio
+        return trace, site, params.ratio
     if args.set is not None:
-        sset = SolutionSet(args.set)
-        params = _lattice_params(args, sset)
-        signs = _resolve_signs(args, sset.cardinality)
-        if args.beta > 0:
-            state = continue_in_beta(sset, params, args.beta,
-                                     steps=args.steps, signs=signs).state
-        else:
-            state = build_state(sset, params, signs=signs)
+        sset, _, state, _ = _state_at_beta(args)
         trace = dynamics.evolve(state.coefficients.astype(complex),
-                                params, args.t_end, args.dt)
+                                state.params, args.t_end, args.dt)
         site = args.site if args.site is not None else sset.sites[0]
-        return trace, params, site, params.ratio
+        return trace, site, state.params.ratio
     # default: three-state superposition around well j
     if args.x is None and (args.nu is None or args.f is None):
         raise DomainError("evolve needs --initial, --set, or --x for the "
@@ -355,14 +363,15 @@ def _evolve_trace(args: argparse.Namespace):
     x = params.ratio if args.x is None else args.x
     trace = dynamics.beating_trace(args.j, params, args.t_end, args.dt)
     site = args.site if args.site is not None else args.j
-    return trace, params, site, x
+    return trace, site, x
 
 
-def _evolve_csv(trace: dynamics.DynamicsTrace, sites: np.ndarray, stride: int):
+def _evolve_csv(trace: dynamics.DynamicsTrace, stride: int):
     """The evolve CSV as chunks: the header, then the rows of every
-    stride-th sampled step, one chunk per step."""
+    stride-th sampled step over the trace's window, one chunk per step."""
     yield "t_prime,site,abs2\n"
-    sites = sites.tolist()
+    lo, hi = trace.window
+    sites = range(lo, hi + 1)
     abs2 = np.abs(trace.states[::stride]) ** 2
     for t, row in zip(trace.times[::stride].tolist(), abs2):
         t_text = fmt(t)
@@ -373,7 +382,7 @@ def _evolve_csv(trace: dynamics.DynamicsTrace, sites: np.ndarray, stride: int):
 def cmd_evolve(args: argparse.Namespace) -> int:
     if args.stride < 1:
         raise DomainError(f"--stride must be >= 1, got {args.stride}")
-    trace, params, site, x = _evolve_trace(args)
+    trace, site, x = _evolve_trace(args)
     peaks = dynamics.spectrum(trace, site)
     predicted = list(dynamics.beat_periods(x)) if x > 1.0 else None
 
@@ -392,7 +401,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     }
     json_text = json.dumps(companion, indent=2) + "\n"
 
-    _emit(args.out, _evolve_csv(trace, params.window_sites, args.stride))
+    _emit(args.out, _evolve_csv(trace, args.stride))
     _emit(os.path.splitext(args.out)[0] + ".json" if args.out else None,
           (json_text,))
     return EXIT_OK

@@ -98,7 +98,7 @@ def jacobian_diagonal_t0(state: StationaryState) -> tuple[np.ndarray, float]:
             "zero-hopping certificate needs a state with exact support"
         )
     mu, p = check_real(state.mu, "base energy mu", above=0), state.params
-    sites = state.window_sites
+    sites = p.window_sites
     mu_over_f = mu / p.f
     for site in sites:
         if site not in state.set and abs(mu_over_f - site) < RESONANCE_TOL:
@@ -154,8 +154,8 @@ def newton_solve(guess: StationaryState, params: LatticeParams) -> StationarySta
     """Solve the finite-hopping stationary system from a warm start.
 
     mu is an unknown alongside the coefficients.  An already-converged
-    guess is returned unchanged; otherwise the result loses its exact-
-    support bookkeeping (set/signs become None).
+    guess is returned unchanged; otherwise the result loses its exact
+    support (set becomes None).
     """
     # written so that a NaN coefficient fails the check too
     if not abs(guess.norm_sq() - 1.0) <= 1e-6:
@@ -169,8 +169,7 @@ def newton_solve(guess: StationaryState, params: LatticeParams) -> StationarySta
     if iters == 0:
         return replace(guess, params=params,
                        coefficients=guess.coefficients.copy())
-    return StationaryState(params=params, coefficients=c, mu=mu,
-                           set=None, signs=None)
+    return StationaryState(params=params, coefficients=c, mu=mu)
 
 
 def continue_in_beta(sset: SolutionSet, params: LatticeParams, beta_target,
@@ -201,5 +200,5 @@ def continue_in_beta(sset: SolutionSet, params: LatticeParams, beta_target,
             raise
         path.append((beta_k, norm, iters))
     final = StationaryState(params=replace(params, beta=beta_target),
-                            coefficients=c, mu=mu, set=None, signs=None)
+                            coefficients=c, mu=mu)
     return ContinuationResult(state=final, path=path, certificate=certificate)

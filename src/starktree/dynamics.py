@@ -67,25 +67,6 @@ class DynamicsTrace:
         return self.states[:, site - lo]
 
 
-@dataclass(frozen=True)
-class BeatingPrediction:
-    """Amplitudes and periods of the three-state beating at ratio x."""
-
-    x: float
-    amplitudes: tuple[float, float, float]
-    periods: tuple[float, float, float]
-
-    @classmethod
-    def for_ratio(cls, x) -> "BeatingPrediction":
-        periods = beat_periods(x)
-        x = float(x)
-        half_over = 0.5 / x  # f/(2 nu)
-        amplitudes = (1.0,
-                      math.sqrt(0.5 + half_over),
-                      math.sqrt(0.5 - half_over))
-        return cls(x=x, amplitudes=amplitudes, periods=periods)
-
-
 def beat_periods(x) -> tuple[float, float, float]:
     """(Bloch period 2 pi, T1 = 4 pi/(1+x), T2 = 4 pi/(x-1)); needs x > 1."""
     x = check_real(x, "beating ratio nu/f", above=1)
@@ -100,13 +81,14 @@ def beating_profile(x, signs, t_prime):
     c3 = sqrt(1/2 - 1/(2x)).  signs is a '+-+' string, three +-1 values or
     None for all-plus.  Vectorized over t_prime.
     """
-    pred = BeatingPrediction.for_ratio(x)
+    beat_periods(x)  # refuses all but a finite real x > 1
+    x = float(x)
     s1, s2, s3 = _normalize_signs(signs, 3)
-    c1, c2, c3 = pred.amplitudes
+    half_over = 0.5 / x  # f/(2 nu)
     t = np.asarray(t_prime, dtype=float)
-    q = (s1 * c1 * np.exp(0.5j * pred.x * t)
-         + s2 * c2 * np.exp(0.5j * t)
-         + s3 * c3 * np.exp(-0.5j * t))
+    q = (s1 * np.exp(0.5j * x * t)
+         + s2 * math.sqrt(0.5 + half_over) * np.exp(0.5j * t)
+         + s3 * math.sqrt(0.5 - half_over) * np.exp(-0.5j * t))
     return complex(q) if np.isscalar(t_prime) else q
 
 
@@ -181,17 +163,14 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
     of the window's middle site; the band buffers are freed on return,
     before evolve's ledger runs."""
     beta, nu, f = params.beta, params.nu, params.f
-    if beta > 0:
-        w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-        weights = (w1, 1.0 - 2.0 * w1, w1)
-    else:
-        weights = (1.0,)
+    # Yoshida's triple jump: Strang steps of w1 dt, w0 dt and w1 dt; w0 is
+    # negative and the longest, so the band follows |w0| dt
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    w0 = 1.0 - 2.0 * w1
     width = c0.size
     states = np.empty((n_steps + 1, width), dtype=complex)
     states[0] = c0
-    # Yoshida's middle weight is negative, so the band follows |tau|
-    b = min(_band_width(2.0 * beta * max(map(abs, weights)) * dt / f),
-            width - 1)
+    b = min(_band_width(2.0 * beta * abs(w0) * dt / f), width - 1)
     if b == 0:
         # U is the diagonal phase of H, which commutes with the nonlinear
         # phase, so the stages of a step merge into one exact rotation
@@ -204,14 +183,13 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
             np.multiply(c, np.exp(nonlinear * (c * c.conj()) + diagonal),
                         out=states[k])
         return states
-    bands = {w: _propagator_band(params, w * dt, b) for w in set(weights)}
+    outer = _propagator_band(params, w1 * dt, b)
+    inner = _propagator_band(params, w0 * dt, b)
     # phase exponents per unit |c|^2: i nu/f times the phase's duration,
-    # half the first stage at each end of a step and, before each later
-    # stage, the merged halves of the two stages it joins
-    half = 0.5j * weights[0] * dt * nu / f
-    first = bands[weights[0]]
-    later = [(0.5j * (w_prev + w) * dt * nu / f, bands[w])
-             for w_prev, w in zip(weights, weights[1:])]
+    # half an outer stage at each end of a step and, between two stages,
+    # the merged halves of both
+    half = 0.5j * w1 * dt * nu / f
+    merged = 0.5j * (w1 + w0) * dt * nu / f
 
     # U c is (band * shifted).sum(0): shifted[j] = pad[j:j + W] views the
     # zero-padded stage input, so c_{l+k} sits under U[l, l+k]
@@ -222,10 +200,11 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
     h = np.exp(half * (c0 * c0.conj()))
     for k in range(1, n_steps + 1):
         np.multiply(states[k - 1], h, out=stage_in)
-        c = (first * shifted).sum(axis=0)
-        for coef, band in later:
-            np.multiply(c, np.exp(coef * (c * c.conj())), out=stage_in)
-            c = (band * shifted).sum(axis=0)
+        c = (outer * shifted).sum(axis=0)
+        np.multiply(c, np.exp(merged * (c * c.conj())), out=stage_in)
+        c = (inner * shifted).sum(axis=0)
+        np.multiply(c, np.exp(merged * (c * c.conj())), out=stage_in)
+        c = (outer * shifted).sum(axis=0)
         h = np.exp(half * (c * c.conj()))
         np.multiply(c, h, out=states[k])
     return states

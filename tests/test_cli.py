@@ -258,7 +258,7 @@ def test_streamed_evolve_csv_matches_csv_writer(n_times, stride):
     for k in range(0, n_times, stride):
         for col, site in enumerate(sites):
             writer.writerow([fmt(trace.times[k]), int(site), fmt(abs2[k, col])])
-    assert "".join(cli._evolve_csv(trace, sites, stride)) == buffer.getvalue()
+    assert "".join(cli._evolve_csv(trace, stride)) == buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +333,23 @@ def test_state_of_a_zero_certificate_writes_null(tmp_path):
     out = tmp_path / "state.json"
     assert run(["state", *ZERO_CERTIFICATE, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["certificate"] is None
+
+
+# energies mu <= 0, where the certificate's rescaling by mu is undefined
+@pytest.mark.parametrize("given, mu", [(["--set=-5", "--x", "1"], -4.0),
+                                       (["--set=-3,-2", "--x", "4"], -0.5)])
+def test_state_of_a_non_positive_energy_writes_null(tmp_path, capsys, given,
+                                                    mu):
+    out = tmp_path / "state.json"
+    assert run(["state", *given, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["mu"] == mu
+    assert payload["certificate"] is None
+    assert payload["residual_norm"] < 1e-12
+    # continuation needs the certificate, so it still refuses the set
+    assert run(["continue", *given]) == 2
+    assert (capsys.readouterr().err
+            == f"error: base energy mu must be positive, got {mu}\n")
 
 
 def test_state_sign_pattern_and_seeded_random(tmp_path):
@@ -510,8 +527,10 @@ def test_evolve_initial_file_runs(tmp_path):
     assert run(["state", "--set", "0", "--x", "2.0", "--out",
                 str(state_path)]) == 0
     out = tmp_path / "evolve.csv"
-    assert run(["evolve", "--initial", str(state_path), "--t-end",
-                str(2 * 2 * math.pi), "--stride", "32", "--out", str(out)]) == 0
+    # an explicit zero --beta agrees with the file and is not refused
+    assert run(["evolve", "--initial", str(state_path), "--beta", "0",
+                "--t-end", str(2 * 2 * math.pi), "--stride", "32",
+                "--out", str(out)]) == 0
     companion = json.loads((tmp_path / "evolve.json").read_text())
     assert companion["site"] == 0
     assert companion["peaks"][0][0] == 0.0  # flat density: DC line only
@@ -540,6 +559,29 @@ def test_evolve_initial_refuses_bad_coefficients(tmp_path, capsys, site,
     }))
     assert run(["evolve", "--initial", str(state_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given, named", [
+    (["--x", "1.5"], "--x"),
+    (["--nu", "0.3"], "--nu"),
+    (["--f", "0.2"], "--f"),
+    (["--set", "0,1"], "--set"),
+    (["--signs=+-"], "--signs"),
+    (["--seed", "3"], "--seed"),
+    (["--beta", "0.5"], "--beta"),
+    (["--x", "1.5", "--beta", "0.5"], "--x, --beta"),
+])
+def test_evolve_initial_refuses_the_model_options(tmp_path, capsys, given,
+                                                  named):
+    # the state file fixes nu, f, beta and the vector; evolve would ignore
+    # these options, so it refuses them
+    state_path = tmp_path / "state.json"
+    assert run(["state", "--set", "0", "--x", "2.0", "--out",
+                str(state_path)]) == 0
+    assert run(["evolve", "--initial", str(state_path), *given]) == 2
+    assert capsys.readouterr().err == (
+        "error: --initial takes the model from the state file; "
+        f"drop {named}\n")
 
 
 def test_evolve_initial_refuses_a_boolean_tilt(tmp_path, capsys):
@@ -629,6 +671,29 @@ def test_evolve_requires_inputs(capsys):
     # about 3.3e8 steps: refused before the trace is allocated
     assert run(["evolve", "--x", "1.5", "--t-end", "1e6"]) == 2
     assert "bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count"], "error: count needs --x\n"),
+    (["state"], "error: state needs --set\n"),
+    (["continue"], "error: continue needs --set\n"),
+    (["state", "--set", "0"], "error: need --x or the pair --nu/--f\n"),
+    (["evolve", "--initial", "{not_json}"],
+     "error: unreadable state file {not_json}: Expecting value: "
+     "line 1 column 1 (char 0)\n"),
+    (["evolve", "--x", "1.5", "--t-end", "1", "--dt", "2"],
+     "error: dt must not exceed t_end = 1.0, got 2.0\n"),
+    (["count", "--x", "5002"],
+     "error: ratio 5002.0 exceeds supported counting range (5000)\n"),
+])
+def test_bad_input_exits_2_with_its_message(tmp_path, capsys, argv, message):
+    not_json = tmp_path / "state.json"
+    not_json.write_text("not json", encoding="utf-8")
+    argv = [a.replace("{not_json}", str(not_json)) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message.replace("{not_json}", str(not_json))
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

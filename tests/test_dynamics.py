@@ -6,7 +6,6 @@ import pytest
 
 from starktree import (
     BLOCH_PERIOD,
-    BeatingPrediction,
     ConfigurationError,
     DomainError,
     DynamicsTrace,
@@ -77,23 +76,25 @@ def test_beating_profile_at_zero():
                           beating_profile(1.5, (1, 1, 1), t))
 
 
+def _pair(x, signs, other, t):
+    """|q| of the two states on which two sign patterns agree: half the sum
+    of their profiles cancels the state where they differ."""
+    return np.abs(beating_profile(x, signs, t) + beating_profile(x, other, t)) / 2
+
+
 def test_beating_profile_pairwise_realignment():
     # each two-state pair is periodic with its own beat period
     x = 1.5
-    pred = BeatingPrediction.for_ratio(x)
-    c1, c2, c3 = pred.amplitudes
-    _, t1, t2 = pred.periods
+    _, t1, t2 = beat_periods(x)
     t = np.linspace(0.0, 12.0, 7)
-
-    pair_13 = np.abs(c1 * np.exp(0.5j * x * t) + c3 * np.exp(-0.5j * t))
-    pair_13_shifted = np.abs(c1 * np.exp(0.5j * x * (t + t1))
-                             + c3 * np.exp(-0.5j * (t + t1)))
-    assert np.allclose(pair_13, pair_13_shifted, atol=1e-12)
-
-    pair_12 = np.abs(c1 * np.exp(0.5j * x * t) + c2 * np.exp(0.5j * t))
-    pair_12_shifted = np.abs(c1 * np.exp(0.5j * x * (t + t2))
-                             + c2 * np.exp(0.5j * (t + t2)))
-    assert np.allclose(pair_12, pair_12_shifted, atol=1e-12)
+    assert np.allclose(_pair(x, "+++", "+-+", t), _pair(x, "+++", "+-+", t + t1),
+                       atol=1e-12)
+    assert np.allclose(_pair(x, "+++", "++-", t), _pair(x, "+++", "++-", t + t2),
+                       atol=1e-12)
+    # the third pair, {j, j+1} and {j-1, j}, beats with the Bloch period,
+    # so a shift by T1 moves it
+    assert not np.allclose(_pair(x, "+++", "-++", t),
+                           _pair(x, "+++", "-++", t + t1), atol=1e-3)
 
 
 def test_beating_profile_domain():
@@ -106,11 +107,13 @@ def test_beating_profile_domain():
 def test_beating_prediction_amplitudes_match_built_states():
     x = 1.5
     p = beating_params(x)
-    pred = BeatingPrediction.for_ratio(x)
-    s2 = build_state(SolutionSet((0, 1)), p)
-    s3 = build_state(SolutionSet((-1, 0)), p)
-    assert s2.coefficient_at(0) == pytest.approx(pred.amplitudes[1], rel=1e-14)
-    assert s3.coefficient_at(0) == pytest.approx(pred.amplitudes[2], rel=1e-14)
+    # at t' = 0 each amplitude is half the difference of two sign patterns
+    q = beating_profile(x, "+++", 0.0)
+    c1, c2, c3 = ((q - beating_profile(x, signs, 0.0)) / 2
+                  for signs in ("-++", "+-+", "++-"))
+    for sites, amplitude in (((0,), c1), ((0, 1), c2), ((-1, 0), c3)):
+        built = build_state(SolutionSet(sites), p).coefficient_at(0)
+        assert amplitude == pytest.approx(built, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

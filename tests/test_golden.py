@@ -21,7 +21,9 @@ is exact at beta = 0 and lies 3.5e-10 from the closed-form beating over 20
 Bloch periods, against RK4's 1.7e-8.  Both drift ledgers stay below 1e-11.
 The finite-hopping cases build their propagator with LAPACK's eigh; they
 were recorded with numpy 2.4.6 and its bundled OpenBLAS 0.3.31
-(DYNAMIC_ARCH) on x86-64.
+(DYNAMIC_ARCH) on x86-64.  evolve_set, evolve_negative_mu and
+evolve_initial_site were recorded from the code before the CLI resolved
+--set in one place, to pin the evolve paths no other test runs.
 
 `{out}` in an argv is replaced by a path in a fresh directory; `evolve`
 with `--out X.csv` also writes `X.json`, which is digested as `out.json`.
@@ -73,6 +75,15 @@ CASES = {
     "evolve_nu_f": ["evolve", "--nu", "0.3", "--f", "0.2", *T_END],
     "evolve_initial": ["evolve", "--initial", "{state}", *T_END,
                        "--out", "{out}.csv"],
+    # site 0 is where the state file peaks, so --site 1 is what tells the
+    # given spectrum site from the default
+    "evolve_initial_site": ["evolve", "--initial", "{state}", "--site", "1",
+                            *T_END, "--out", "{out}.csv"],
+    "evolve_set": ["evolve", "--set", "0,1", "--x", "1.5", *T_END,
+                   "--out", "{out}.csv"],
+    # mu = -4 <= 0: the state has no T(0) certificate but still evolves
+    "evolve_negative_mu": ["evolve", "--set=-5", "--x", "1", *T_END,
+                           "--out", "{out}.csv"],
 }
 
 GOLDEN = {
@@ -132,10 +143,37 @@ GOLDEN = {
         "out.json":
             "2a0f515b791840297ae05a0b93576cd5aa33640576c5eb2ff8d0c161b8721564",
     },
+    "evolve_initial_site": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "dfd104d00c666ec48a62eb48ae5da62eccf48e92b24512fbafb39bc6d5d33836",
+        "out.json":
+            "6cd97afef5a90a851b0c5332e3d302d8386a2683f878e0074094774cdd6c2077",
+    },
+    "evolve_negative_mu": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "9d98bf1306b321f71f315c383d5d049dab11cccd85cef2afb7abf6c59cf5ecbd",
+        "out.json":
+            "ee70bb44dc02672c96fe64a42c9f42238535296f035ec5f0db6ac6f2228e5ed8",
+    },
     "evolve_nu_f": {
         "rc": 0,
         "stdout":
             "7a75e6522a3975f7cec700e082a6b7b39673ffd8b6b8b5eaebb437a2ea35e04f",
+    },
+    "evolve_set": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "caaa4055d2d9e095e4c6fbf46de278b3d3e6bd4811e93f58212fc85443e4d3ef",
+        "out.json":
+            "56c32c17961e1e319764e41a43f4a6ada9ea6349d77e73a5f9afaf137e323f3f",
     },
     "state_beta": {
         "rc": 0,
