@@ -99,9 +99,17 @@ def _parse_signs(text: str):
     return _parse_set(text)
 
 
+def _refuse(args: argparse.Namespace, names, reason: str):
+    """Refuse by name each option of `names` that was given, since `reason`
+    leaves it unread; the options default to None."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise DomainError(f"{reason}; drop {', '.join(given)}")
+
+
 def _resolve_signs(args: argparse.Namespace, n: int) -> tuple[int, ...]:
     """The n signs as +-1: a '+-+' literal, +-1 values, or 'random' drawn
-    from the generator seeded with --seed.
+    from the generator seeded with --seed, which is refused otherwise.
 
     An absent or empty --signs means the default all-plus pattern.
     argparse turns --signs=-- into [], which must stay a pattern of the
@@ -111,6 +119,7 @@ def _resolve_signs(args: argparse.Namespace, n: int) -> tuple[int, ...]:
         seed = None if args.seed is None else check_int(args.seed, "--seed", 0)
         rng = np.random.default_rng(seed)
         return tuple(int(s) for s in rng.choice((-1, 1), size=n))
+    _refuse(args, ("seed",), "--seed is read only with --signs random")
     return _normalize_signs(None if args.signs == "" else args.signs, n)
 
 
@@ -219,6 +228,11 @@ def _resolve_set(args: argparse.Namespace
     return sset, _lattice_params(args, sset), _resolve_signs(args, sset.cardinality)
 
 
+def _steps(args: argparse.Namespace) -> int:
+    """--steps, 10 when it is not given."""
+    return 10 if args.steps is None else args.steps
+
+
 def _state_at_beta(args: argparse.Namespace):
     """The state of --set at --beta: (set, signs, state, T(0) certificate).
 
@@ -229,8 +243,9 @@ def _state_at_beta(args: argparse.Namespace):
     sset, params, signs = _resolve_set(args)
     if args.beta > 0:
         result = continue_in_beta(sset, params, args.beta,
-                                  steps=args.steps, signs=signs)
+                                  steps=_steps(args), signs=signs)
         return sset, signs, result.state, result.certificate
+    _refuse(args, ("steps",), "--steps is read only at --beta > 0")
     state = build_state(sset, params, signs=signs)
     try:
         _, certificate = jacobian_diagonal_t0(state)
@@ -270,11 +285,11 @@ def cmd_continue(args: argparse.Namespace) -> int:
         "nu": params.nu,
         "f": params.f,
         "beta_target": args.beta,
-        "steps": args.steps,
+        "steps": _steps(args),
     }
     try:
         result = continue_in_beta(sset, params, args.beta,
-                                  steps=args.steps, signs=signs)
+                                  steps=_steps(args), signs=signs)
     except SolverError as exc:
         payload.update({
             "status": "failed",
@@ -332,14 +347,12 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
 def _evolve_trace(args: argparse.Namespace):
     """Pick the evolution mode; returns (trace, spectrum site, x)."""
     if args.initial is not None:
-        # the state file fixes the model; an option it would ignore is refused
-        ignored = [f"--{name}" for name in ("x", "nu", "f", "set", "signs", "seed")
-                   if getattr(args, name) is not None]
+        # the state file fixes the model and the vector; an option it would
+        # ignore is refused
+        unread = ["x", "nu", "f", "set", "signs", "seed", "steps", "j"]
         if args.beta != 0:
-            ignored.append("--beta")
-        if ignored:
-            raise DomainError("--initial takes the model from the state file; "
-                              f"drop {', '.join(ignored)}")
+            unread.append("beta")
+        _refuse(args, unread, "--initial takes the model from the state file")
         vector, params = load_state_vector(args.initial)
         trace = dynamics.evolve(vector, params, args.t_end, args.dt)
         if args.site is not None:
@@ -348,6 +361,8 @@ def _evolve_trace(args: argparse.Namespace):
             site = int(params.window[0] + np.argmax(np.abs(vector)))
         return trace, site, params.ratio
     if args.set is not None:
+        _refuse(args, ("j",), "--j picks the well of the three-state "
+                "superposition, not of --set")
         sset, _, state, _ = _state_at_beta(args)
         trace = dynamics.evolve(state.coefficients.astype(complex),
                                 state.params, args.t_end, args.dt)
@@ -357,12 +372,15 @@ def _evolve_trace(args: argparse.Namespace):
     if args.x is None and (args.nu is None or args.f is None):
         raise DomainError("evolve needs --initial, --set, or --x for the "
                           "three-state superposition")
+    _refuse(args, ("signs", "seed", "steps"), "the three-state superposition "
+            "sums the all-plus zero-hopping states")
+    j = 0 if args.j is None else args.j
     # the default window pads the three sites j-1, j, j+1 the states occupy
-    params = _lattice_params(args, SolutionSet((args.j - 1, args.j, args.j + 1)))
+    params = _lattice_params(args, SolutionSet((j - 1, j, j + 1)))
     # params.ratio is 0.05/(0.05/x), which need not be x bit for bit
     x = params.ratio if args.x is None else args.x
-    trace = dynamics.beating_trace(args.j, params, args.t_end, args.dt)
-    site = args.site if args.site is not None else args.j
+    trace = dynamics.beating_trace(j, params, args.t_end, args.dt)
+    site = args.site if args.site is not None else j
     return trace, site, x
 
 
@@ -426,12 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "three-state beating of evolve")
     common.add_argument("--f", type=float, help="tilt f")
     common.add_argument("--beta", type=float, default=0.0, help="hopping beta")
-    common.add_argument("--steps", type=int, default=10,
-                        help="continuation steps to reach beta")
+    common.add_argument("--steps", type=int, default=None,
+                        help="continuation steps to reach beta > 0 "
+                             "(default 10)")
     common.add_argument("--signs", type=_parse_signs, default=None,
                         help="sign pattern '+-+' or 'random'")
     common.add_argument("--seed", type=int, default=None,
-                        help="seed for random sign sampling")
+                        help="seed for --signs random")
     common.add_argument("--out", type=str, default=None, help="output path")
 
     p_count = sub.add_parser("count", help="branch counting function at nu/f")
@@ -453,8 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
                           default=20.0 * dynamics.BLOCH_PERIOD,
                           help="dimensionless time horizon")
     p_evolve.add_argument("--dt", type=float, default=dynamics.DEFAULT_DT)
-    p_evolve.add_argument("--j", type=int, default=0,
-                          help="well index for the three-state superposition")
+    p_evolve.add_argument("--j", type=int, default=None,
+                          help="well index for the three-state superposition "
+                               "(default 0)")
     p_evolve.add_argument("--site", type=int, default=None,
                           help="site whose density is Fourier-analysed")
     p_evolve.add_argument("--stride", type=int, default=1,

@@ -11,7 +11,7 @@ two nu/f-dependent periods T1 = 4 pi/(1 + nu/f) and T2 = 4 pi/(nu/f - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,15 +20,17 @@ from .anticontinuum import (
     SolutionSet,
     StationaryState,
     _normalize_signs,
+    _self_checked,
     build_state,
 )
 from .errors import ConfigurationError, DomainError, IntegrationError, check_real
 
 BLOCH_PERIOD = 2.0 * math.pi
 
-# 2048 steps per Bloch period.  At beta = 0 a step is exact up to round-off;
-# at beta > 0 the 4th-order composition keeps the splitting error of the
-# stationary and conservation tests well inside their bounds at this step.
+# 2048 steps per Bloch period: the sampling of the trace.  At beta = 0 the
+# trace is the closed form at any dt; at beta > 0 the 4th-order composition
+# keeps the splitting error of the stationary and conservation tests well
+# inside their bounds at this step.
 DEFAULT_DT = BLOCH_PERIOD / 2048
 
 # Largest norm or energy drift that evolve accepts.
@@ -133,21 +135,19 @@ def _block_propagator(params: LatticeParams, tau: float, first: int, m: int,
 
 
 def _propagator_band(params: LatticeParams, tau: float, b: int) -> np.ndarray:
-    """U = exp(i tau H/f) on the whole window as its (2b+1, W) band.
+    """U = exp(i tau H/f) on a window of more than 4b+5 sites as its
+    (2b+1, W) band.
 
-    Built in O(W b) for b >= 1: windows of up to 4b+5 sites are
-    propagated whole; wider ones take the 2b+2 rows at each end from an
-    eigh of a 4b+5-site edge block, and every other row from the edge
-    block's middle row, since away from the ends
-    U[l+1, m+1] = e^{i tau} U[l, m] (the tilt grows by f per site).
-    Entries beyond the band are below the _band_width bound.
+    Built in O(W b): the 2b+2 rows at each end come from an eigh of a
+    4b+5-site edge block, and every other row from the edge block's middle
+    row, since away from the ends U[l+1, m+1] = e^{i tau} U[l, m] (the tilt
+    grows by f per site).  Entries beyond the band are below the
+    _band_width bound.
     """
     lo, hi = params.window
     width = hi - lo + 1
     l0 = (lo + hi) // 2
     m = 4 * b + 5
-    if width <= m:
-        return _diagonals(_block_propagator(params, tau, lo, width, l0), b)
     left = _diagonals(_block_propagator(params, tau, lo, m, l0), b)
     right = _diagonals(_block_propagator(params, tau, hi - m + 1, m, l0), b)
     edge = 2 * b + 2
@@ -160,54 +160,103 @@ def _propagator_band(params: LatticeParams, tau: float, b: int) -> np.ndarray:
 def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
                  n_steps: int) -> np.ndarray:
     """The n_steps + 1 states of evolve's split steps from c0, in the frame
-    of the window's middle site; the band buffers are freed on return,
-    before evolve's ledger runs."""
+    of the window's middle site l0.
+
+    Where the band half-width b is 0 the trace is the closed form
+    c0 exp(i k rate), rate = dt (l - l0 - 2 beta/f + nu/f |c0|^2), with no
+    time loop.  Otherwise each stage applies U as one dense product on a
+    window of at most 4b+5 sites, or as the band of _propagator_band on a
+    wider one.  The propagator buffers are freed on return, before evolve's
+    ledger runs.
+    """
     beta, nu, f = params.beta, params.nu, params.f
+    lo, hi = params.window
+    l0 = (lo + hi) // 2
     # Yoshida's triple jump: Strang steps of w1 dt, w0 dt and w1 dt; w0 is
     # negative and the longest, so the band follows |w0| dt
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     w0 = 1.0 - 2.0 * w1
     width = c0.size
     states = np.empty((n_steps + 1, width), dtype=complex)
-    states[0] = c0
     b = min(_band_width(2.0 * beta * abs(w0) * dt / f), width - 1)
     if b == 0:
         # U is the diagonal phase of H, which commutes with the nonlinear
-        # phase, so the stages of a step merge into one exact rotation
-        lo, hi = params.window
-        diagonal = 1j * dt * (params.window_sites - (lo + hi) // 2
-                              - 2.0 * beta / f)
-        nonlinear = 1j * dt * nu / f
-        for k in range(1, n_steps + 1):
-            c = states[k - 1]
-            np.multiply(c, np.exp(nonlinear * (c * c.conj()) + diagonal),
-                        out=states[k])
+        # phase and keeps |c_l|, so step k turns c0 by k times one per-site
+        # angle; the angles, then their cosines and sines, are written in
+        # place, so no trace-sized temporary is made
+        rate = dt * (params.window_sites - l0 - 2.0 * beta / f
+                     + nu / f * np.abs(c0) ** 2)
+        np.multiply.outer(np.arange(n_steps + 1), rate, out=states.imag)
+        np.cos(states.imag, out=states.real)
+        np.sin(states.imag, out=states.imag)
+        states *= c0
         return states
-    outer = _propagator_band(params, w1 * dt, b)
-    inner = _propagator_band(params, w0 * dt, b)
+    states[0] = c0
+    # U c of a stage input c: one dense product where the window is no
+    # wider than _propagator_band's edge block, else (band * shifted).sum(0),
+    # where shifted[j] = pad[j:j + W] views the zero-padded stage input, so
+    # c_{l+k} sits under U[l, l+k]
+    pad = np.zeros(width + 2 * b, dtype=complex)
+    stage_in = pad[b:b + width]
+    if width <= 4 * b + 5:
+        outer = _block_propagator(params, w1 * dt, lo, width, l0)
+        inner = _block_propagator(params, w0 * dt, lo, width, l0)
+
+        def propagate(u):
+            return u @ stage_in
+    else:
+        outer = _propagator_band(params, w1 * dt, b)
+        inner = _propagator_band(params, w0 * dt, b)
+        shifted = np.lib.stride_tricks.sliding_window_view(pad, width)
+
+        def propagate(u):
+            return (u * shifted).sum(axis=0)
     # phase exponents per unit |c|^2: i nu/f times the phase's duration,
     # half an outer stage at each end of a step and, between two stages,
     # the merged halves of both
     half = 0.5j * w1 * dt * nu / f
     merged = 0.5j * (w1 + w0) * dt * nu / f
 
-    # U c is (band * shifted).sum(0): shifted[j] = pad[j:j + W] views the
-    # zero-padded stage input, so c_{l+k} sits under U[l, l+k]
-    pad = np.zeros(width + 2 * b, dtype=complex)
-    stage_in = pad[b:b + width]
-    shifted = np.lib.stride_tricks.sliding_window_view(pad, width)
-
     h = np.exp(half * (c0 * c0.conj()))
     for k in range(1, n_steps + 1):
         np.multiply(states[k - 1], h, out=stage_in)
-        c = (outer * shifted).sum(axis=0)
+        c = propagate(outer)
         np.multiply(c, np.exp(merged * (c * c.conj())), out=stage_in)
-        c = (inner * shifted).sum(axis=0)
+        c = propagate(inner)
         np.multiply(c, np.exp(merged * (c * c.conj())), out=stage_in)
-        c = (outer * shifted).sum(axis=0)
+        c = propagate(outer)
         h = np.exp(half * (c * c.conj()))
         np.multiply(c, h, out=states[k])
     return states
+
+
+def _drifts(states: np.ndarray, params: LatticeParams) -> tuple[float, float]:
+    """(norm_drift, energy_drift), as DynamicsTrace defines them, of a trace
+    in the frame of the window's middle site.
+
+    Each row sum is an einsum over the real and imaginary parts, with
+    |c|^2 = re^2 + im^2 and |c|^4 = re^4 + 2 re^2 im^2 + im^4, so no
+    trace-sized temporary is made.
+    """
+    lo, hi = params.window
+    tilt = params.f * (params.window_sites - (lo + hi) // 2)
+    re, im = states.real, states.imag
+    norms = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
+    norm_drift = float(np.max(np.abs(norms - 1.0)))
+    # 2 Re(conj(c_l) c_{l+1}) + 2 |c_l|^2 per row
+    hops = -params.beta * (
+        2.0 * (np.einsum("ij,ij->i", re[:, :-1], re[:, 1:])
+               + np.einsum("ij,ij->i", im[:, :-1], im[:, 1:]))
+        + 2.0 * norms)
+    nonlinear = 0.5 * params.nu * (
+        np.einsum("ij,ij,ij,ij->i", re, re, re, re)
+        + 2.0 * np.einsum("ij,ij,ij,ij->i", re, re, im, im)
+        + np.einsum("ij,ij,ij,ij->i", im, im, im, im))
+    tilted = (np.einsum("ij,ij,j->i", re, re, tilt)
+              + np.einsum("ij,ij,j->i", im, im, tilt))
+    energies = hops + nonlinear + tilted
+    scale = abs(hops[0]) + nonlinear[0] + np.abs(states[0]) ** 2 @ np.abs(tilt)
+    return norm_drift, float(np.max(np.abs(energies - energies[0])) / scale)
 
 
 def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
@@ -222,12 +271,14 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
     middle site l0, so accuracy does not depend on where the window sits;
     the trace is turned back by e^{i l0 t'}.  At beta > 0 three Strang steps
     of weights w1, w0, w1 make Yoshida's 4th-order step (Yoshida 1990), with
-    adjacent half-phases merged.  Each U is a band of half-width b, known
-    in advance from a Dyson-series bound, built once per call from LAPACK's
-    eigh on blocks of at most 4b+5 sites and applied without BLAS, so a
-    step is O(W b) and no W x W array is made.  Where b = 0, as at
-    beta = 0, U is diagonal and commutes with the phase, so a step is one
-    exact per-site rotation.
+    adjacent half-phases merged.  U has a band of half-width b, known in
+    advance from a Dyson-series bound; it is built once per call from
+    LAPACK's eigh on blocks of at most 4b+5 sites.  A window of at most
+    4b+5 sites is one such block, and a stage is one dense product; a wider
+    window keeps U as its band, applied without BLAS, so a step is O(W b)
+    and no W x W array is made.  Where b = 0, as at beta = 0, U is
+    diagonal and commutes with the phase, which keeps |c_l|, so the whole
+    trace is one exact per-site rotation in closed form.
 
     The trace is sampled every step.  A step that turns the nonlinear or
     hopping rate, max(nu, 4 beta)/f, by more than pi, or a norm or energy
@@ -263,39 +314,37 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
 
     times = np.arange(n_steps + 1) * dt
     states = _split_steps(c0, params, dt, n_steps)
-    lo, hi = params.window
-    l0 = (lo + hi) // 2
-    states *= np.exp(1j * l0 * times)[:, None]
-
-    tilt = f * (params.window_sites - l0)
-    abs2 = np.abs(states) ** 2
-    norms = np.sum(abs2, axis=1)
-    norm_drift = float(np.max(np.abs(norms - 1.0)))
-    # row-wise sums by einsum, so no trace-sized temporary is made:
-    # Re(conj(c_l) c_{l+1}) and |c_l|^4
-    left, right = states[:, :-1], states[:, 1:]
-    hops = -beta * (2.0 * (np.einsum("ij,ij->i", left.real, right.real)
-                           + np.einsum("ij,ij->i", left.imag, right.imag))
-                    + 2.0 * norms)
-    nonlinear = 0.5 * nu * np.einsum("ij,ij->i", abs2, abs2)
-    energies = hops + nonlinear + abs2 @ tilt
-    scale = abs(hops[0]) + nonlinear[0] + abs2[0] @ np.abs(tilt)
-    energy_drift = float(np.max(np.abs(energies - energies[0])) / scale)
+    # the ledger reads |c_l|^2 and conj(c_l) c_{l+1}, which the turn-back
+    # by e^{i l0 t'} below leaves as they are, so it runs in the l0 frame
+    norm_drift, energy_drift = _drifts(states, params)
     if not (norm_drift <= DRIFT_LIMIT and energy_drift <= DRIFT_LIMIT):
         raise IntegrationError(
             f"norm drifted by {norm_drift:.3e} and energy by "
             f"{energy_drift:.3e} (limit {DRIFT_LIMIT}); reduce dt below {dt}"
         )
+    lo, hi = params.window
+    states *= np.exp(1j * ((lo + hi) // 2) * times)[:, None]
     return DynamicsTrace(times=times, states=states, window=params.window,
                          norm_drift=norm_drift, energy_drift=energy_drift)
 
 
 def _well_states(j: int, params: LatticeParams) -> list[StationaryState]:
     """The three zero-hopping states sharing well j: {j}, {j, j+1}, {j-1, j};
-    they exist together only for nu/f > 1."""
+    they exist together only for nu/f > 1.
+
+    Each is the well-0 state on the window shifted by -j, relabeled to well
+    j with mu + j f, so a far well carries the well-0 amplitudes bit for bit
+    instead of the round-off of mu - f l at large l; the relabeled state
+    still passes the zero-hopping self-check on its own window.
+    """
     check_real(params.ratio, "nu/f of the three well states", above=1)
-    return [build_state(SolutionSet(s), params)
-            for s in ((j,), (j, j + 1), (j - 1, j))]
+    lo, hi = params.window
+    home = replace(params, window=(lo - j, hi - j))
+    return [_self_checked(replace(state, params=params,
+                                  mu=state.mu + j * params.f,
+                                  set=state.set.translated(j)))
+            for state in (build_state(SolutionSet(s), home)
+                          for s in ((0,), (0, 1), (-1, 0)))]
 
 
 def superposition_state(j: int, params: LatticeParams) -> np.ndarray:

@@ -584,6 +584,71 @@ def test_evolve_initial_refuses_the_model_options(tmp_path, capsys, given,
         f"drop {named}\n")
 
 
+# 1,024 steps: the spectrum's minimum, a few milliseconds per integration
+SHORT = ["--t-end", "10.24", "--dt", "0.01"]
+STATE = ["state", "--set", "0,1", "--x", "1.5"]
+CONTINUE = ["continue", "--set", "0,1", "--x", "1.5", "--beta", "0.01"]
+EVOLVE_SET = ["evolve", "--set", "0,1", "--x", "1.5", *SHORT]
+EVOLVE_INITIAL = ["evolve", "--initial", "{state}", *SHORT]
+BEATING = ["evolve", "--x", "1.5", *SHORT]
+
+
+# (mode, option, other): the option is read if the output with it differs
+# from the output with `other` in its place, and refused, exit 2 naming it,
+# where other is None
+@pytest.mark.parametrize("base, option, other", [
+    (STATE, ["--steps", "3"], None),
+    (STATE, ["--seed", "4"], None),
+    (STATE, ["--signs=+-"], []),
+    (STATE, ["--beta", "0.01"], []),
+    ([*STATE, "--beta", "0.01"], ["--steps", "3"], []),
+    ([*STATE, "--beta", "0.01"], ["--seed", "4"], None),
+    # seed 1 draws (-, +), seed 2 (+, -)
+    ([*STATE, "--signs=random"], ["--seed", "1"], ["--seed", "2"]),
+    (CONTINUE, ["--steps", "3"], []),
+    (CONTINUE, ["--seed", "4"], None),
+    ([*CONTINUE, "--signs=random"], ["--seed", "1"], ["--seed", "2"]),
+    (EVOLVE_INITIAL, ["--steps", "3"], None),
+    (EVOLVE_INITIAL, ["--j", "7"], None),
+    (EVOLVE_INITIAL, ["--steps", "3", "--j", "7"], None),
+    (EVOLVE_INITIAL, ["--site", "1"], []),
+    (EVOLVE_SET, ["--j", "7"], None),
+    (EVOLVE_SET, ["--steps", "3"], None),
+    (EVOLVE_SET, ["--seed", "4"], None),
+    ([*EVOLVE_SET, "--beta", "0.01"], ["--j", "7"], None),
+    ([*EVOLVE_SET, "--beta", "0.01"], ["--steps", "3"], []),
+    ([*EVOLVE_SET, "--beta", "0.01"], ["--seed", "4"], None),
+    # at zero hopping the signs leave every density as it is
+    ([*EVOLVE_SET, "--beta", "0.01"], ["--signs=+-"], []),
+    (BEATING, ["--steps", "7"], None),
+    (BEATING, ["--seed", "4"], None),
+    (BEATING, ["--signs=+-+"], None),
+    (BEATING, ["--j", "1"], []),
+    (BEATING, ["--beta", "0.01"], []),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_every_option_is_read_or_refused(tmp_path, capsys, base, option,
+                                         other):
+    state_path = tmp_path / "state.json"
+    assert run(["state", "--set", "0,1", "--x", "2.0", "--out",
+                str(state_path)]) == 0
+    base = [a.replace("{state}", str(state_path)) for a in base]
+
+    def output(extra):
+        out = tmp_path / "out.csv"
+        assert run([*base, *extra, "--out", str(out)]) == 0
+        companion = out.with_suffix(".json")
+        return out.read_bytes() + (companion.read_bytes()
+                                   if base[0] == "evolve" else b"")
+
+    if other is None:
+        assert run([*base, *option]) == 2
+        named = ", ".join(a.split("=")[0] for a in option
+                          if a.startswith("--"))
+        assert capsys.readouterr().err.endswith(f"; drop {named}\n")
+    else:
+        assert output(option) != output(other)
+
+
 def test_evolve_initial_refuses_a_boolean_tilt(tmp_path, capsys):
     # json reads true as a bool, which is an int subclass
     state_path = tmp_path / "state.json"

@@ -22,6 +22,7 @@ from starktree import (
     spectrum,
     superposition_state,
 )
+from starktree import dynamics
 from starktree.anticontinuum import MAX_WINDOW_SITES
 from starktree.dynamics import DEFAULT_DT, MAX_TRACE_BYTES
 
@@ -248,6 +249,37 @@ def test_evolve_step_is_the_split_step_of_the_full_window_propagator(window,
     assert np.max(np.abs(step - split_step(c0, p, dt))) < 1e-13
 
 
+def band_step(c, p, dt):
+    """split_step with each propagator cut to its band and applied as a sum
+    over the band's diagonals, as windows wider than 4b+5 apply it; the
+    window's middle site must be 0."""
+    lo = p.window[0]
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    w0 = 1.0 - 2.0 * w1
+    b = dynamics._band_width(2.0 * p.beta * abs(w0) * dt / p.f)
+    for w in (w1, w0, w1):
+        tau = w * dt
+        band = dynamics._diagonals(
+            dynamics._block_propagator(p, tau, lo, p.window_size, 0), b)
+        c = c * np.exp(0.5j * tau * p.nu / p.f * np.abs(c) ** 2)
+        padded = np.concatenate([np.zeros(b), c, np.zeros(b)])
+        c = sum(band[b + k] * padded[b + k:b + k + c.size]
+                for k in range(-b, b + 1))
+        c = c * np.exp(0.5j * tau * p.nu / p.f * np.abs(c) ** 2)
+    return c
+
+
+def test_dense_small_window_step_matches_the_band_step():
+    # b = 5 here, so the 13 sites fit the 4b+5-site edge block and each
+    # stage is one dense product
+    rng = np.random.default_rng(4)
+    p = LatticeParams(nu=1.5, f=0.7, beta=0.1, window=WINDOW)
+    c0 = rng.normal(size=p.window_size) + 1j * rng.normal(size=p.window_size)
+    c0 /= np.linalg.norm(c0)
+    step = evolve(c0, p, t_end=0.01, dt=0.01).states[1]
+    assert np.max(np.abs(step - band_step(c0, p, 0.01))) < 1e-13
+
+
 @pytest.mark.parametrize("beta", [0.01, 0.1])
 def test_evolve_matches_rk4_at_finite_hopping(beta):
     p = LatticeParams(nu=1.5, f=1.0, beta=beta, window=WINDOW)
@@ -301,6 +333,41 @@ def test_zero_hopping_step_is_exact_at_any_resolved_dt():
     rates = p.nu * np.abs(initial) ** 2 / p.f + p.window_sites
     exact = initial * np.exp(1j * rates * trace.times[:, None])
     assert np.max(np.abs(trace.states - exact)) < 1e-12
+
+
+def test_zero_hopping_trace_is_exact_over_twenty_bloch_periods():
+    # criterion 7's 40,960 steps: each well state turns site by site as
+    # c_l(0) exp(i (nu |c_l|^2/f + l) t'), and their sum beats as the
+    # closed form
+    x = 1.5
+    p = beating_params(x)
+    t_end = 20.0 * BLOCH_PERIOD
+    for sites in ((0,), (0, 1), (-1, 0)):
+        initial = build_state(SolutionSet(sites), p).coefficients.astype(complex)
+        trace = evolve(initial, p, t_end=t_end)
+        rates = p.nu * np.abs(initial) ** 2 / p.f + p.window_sites
+        exact = initial * np.exp(1j * rates * trace.times[:, None])
+        assert np.max(np.abs(trace.states - exact)) < 1e-12
+    beating = beating_trace(0, p, t_end=t_end)
+    closed_form = np.abs(beating_profile(x, "+++", beating.times)) ** 2
+    assert np.max(np.abs(np.abs(beating.site_column(0)) ** 2
+                         - closed_form)) < 1e-12
+
+
+def test_zero_hopping_evolve_allocates_only_its_trace():
+    # the closed form is written into the trace in place and the ledger
+    # sums rows by einsum; 2,049 steps of 512 sites make a 16.8 MB trace,
+    # so any trace-sized temporary would show
+    p = LatticeParams(nu=1.5, f=1.0, beta=0.0, window=(-256, 255))
+    initial = superposition_state(0, p)
+    tracemalloc.start()
+    try:
+        trace = evolve(initial, p, t_end=2048 * DEFAULT_DT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.times.size == 2049
+    assert peak - trace.states.nbytes - trace.times.nbytes < 1 << 20
 
 
 def test_evolve_flags_an_unresolved_step():
