@@ -61,12 +61,16 @@ def fmt(value) -> str:
 def _atomic_write(path: str, chunks):
     """Write the text chunks, each as it is made, to a temporary file next to
     `path`, then rename it into place.  If making or writing a chunk fails,
-    `path` keeps its earlier content and the temporary file is removed."""
+    `path` keeps its earlier content and the temporary file is removed.
+    The file gets the mode open() would give it: mkstemp makes it 0600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(chunks)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -400,6 +404,10 @@ def _evolve_csv(trace: dynamics.DynamicsTrace, stride: int):
 def cmd_evolve(args: argparse.Namespace) -> int:
     if args.stride < 1:
         raise DomainError(f"--stride must be >= 1, got {args.stride}")
+    json_out = os.path.splitext(args.out)[0] + ".json" if args.out else None
+    if args.out and json_out == args.out:
+        raise DomainError(f"--out {args.out} is also the path of the "
+                          "companion JSON; give the CSV another extension")
     trace, site, x = _evolve_trace(args)
     peaks = dynamics.spectrum(trace, site)
     predicted = list(dynamics.beat_periods(x)) if x > 1.0 else None
@@ -420,8 +428,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     json_text = json.dumps(companion, indent=2) + "\n"
 
     _emit(args.out, _evolve_csv(trace, args.stride))
-    _emit(os.path.splitext(args.out)[0] + ".json" if args.out else None,
-          (json_text,))
+    _emit(json_out, (json_text,))
     return EXIT_OK
 
 

@@ -117,44 +117,36 @@ def _diagonals(u: np.ndarray, b: int) -> np.ndarray:
     return padded[rows, rows + np.arange(2 * b + 1)[:, None]]
 
 
-def _block_propagator(params: LatticeParams, tau: float, first: int, m: int,
-                      l0: int) -> np.ndarray:
-    """exp(i tau H/f) on the m sites from `first`, with Dirichlet ends.
+def _propagator(params: LatticeParams, tau: float, b: int) -> np.ndarray:
+    """U = exp(i tau H/f) on the window, from one eigh of the block of its
+    first m = min(W, 4b+5) sites, with Dirichlet ends.
 
     H is the window operator: LatticeParams.hopping plus the tilt
-    f (l - l0).  eigh sees the tilt relative to the block's own middle
-    site; the constant remainder is a phase.
+    f (l - l0) relative to the window's middle site l0; eigh sees the tilt
+    relative to the block's middle site, and the constant remainder is a
+    phase.  Where m = W the block is U, returned dense.  Otherwise U is
+    returned as its (2b+1, W) band, built in O(W b).  Since the tilt grows
+    by f per site, U[l + s, k + s] = e^{i tau s} U[l, k] away from the
+    ends, so the block gives every row: its first 2b+2 rows the window's
+    first, its middle row each middle one, and its last 2b+2 rows, turned
+    by e^{i tau (W - m)}, the window's last.  Entries beyond the band are
+    below the _band_width bound.
     """
+    width = params.window_size
+    m = min(width, 4 * b + 5)
     mid = m // 2
     h = params.hopping(np.eye(m)) / params.f + np.diag(np.arange(m) - mid)
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(1j * tau * w)) @ v.T
     # one Newton-Schulz pass: unitary to round-off, so the norm stays flat
     u = 1.5 * u - 0.5 * (u @ (u.conj().T @ u))
-    return u * np.exp(1j * tau * (first + mid - l0))
-
-
-def _propagator_band(params: LatticeParams, tau: float, b: int) -> np.ndarray:
-    """U = exp(i tau H/f) on a window of more than 4b+5 sites as its
-    (2b+1, W) band.
-
-    Built in O(W b): the 2b+2 rows at each end come from an eigh of a
-    4b+5-site edge block, and every other row from the edge block's middle
-    row, since away from the ends U[l+1, m+1] = e^{i tau} U[l, m] (the tilt
-    grows by f per site).  Entries beyond the band are below the
-    _band_width bound.
-    """
-    lo, hi = params.window
-    width = hi - lo + 1
-    l0 = (lo + hi) // 2
-    m = 4 * b + 5
-    left = _diagonals(_block_propagator(params, tau, lo, m, l0), b)
-    right = _diagonals(_block_propagator(params, tau, hi - m + 1, m, l0), b)
-    edge = 2 * b + 2
-    bands = left[:, edge:edge + 1] * np.exp(1j * tau * (np.arange(width) - edge))
-    bands[:, :edge] = left[:, :edge]
-    bands[:, -edge:] = right[:, -edge:]
-    return bands
+    u = u * np.exp(1j * tau * (mid - (width - 1) // 2))
+    if m == width:
+        return u
+    # window row l is the block's row l - shift, turned by e^{i tau shift}
+    rows = np.arange(width)
+    shift = np.clip(rows - mid, 0, width - m)
+    return _diagonals(u, b)[:, rows - shift] * np.exp(1j * tau * shift)
 
 
 def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
@@ -164,10 +156,10 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
 
     Where the band half-width b is 0 the trace is the closed form
     c0 exp(i k rate), rate = dt (l - l0 - 2 beta/f + nu/f |c0|^2), with no
-    time loop.  Otherwise each stage applies U as one dense product on a
-    window of at most 4b+5 sites, or as the band of _propagator_band on a
-    wider one.  The propagator buffers are freed on return, before evolve's
-    ledger runs.
+    time loop.  Otherwise each stage applies the U of _propagator: one dense
+    product on a window of at most 4b+5 sites, else a sum over U's band.
+    The propagator buffers are freed on return, before evolve's ledger
+    runs.
     """
     beta, nu, f = params.beta, params.nu, params.f
     lo, hi = params.window
@@ -192,21 +184,17 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
         states *= c0
         return states
     states[0] = c0
-    # U c of a stage input c: one dense product where the window is no
-    # wider than _propagator_band's edge block, else (band * shifted).sum(0),
-    # where shifted[j] = pad[j:j + W] views the zero-padded stage input, so
-    # c_{l+k} sits under U[l, l+k]
+    outer = _propagator(params, w1 * dt, b)
+    inner = _propagator(params, w0 * dt, b)
+    # U c of a stage input c: one dense product where U is dense, else
+    # (band * shifted).sum(0), where shifted[j] = pad[j:j + W] views the
+    # zero-padded stage input, so c_{l+k} sits under U[l, l+k]
     pad = np.zeros(width + 2 * b, dtype=complex)
     stage_in = pad[b:b + width]
-    if width <= 4 * b + 5:
-        outer = _block_propagator(params, w1 * dt, lo, width, l0)
-        inner = _block_propagator(params, w0 * dt, lo, width, l0)
-
+    if outer.shape == (width, width):
         def propagate(u):
             return u @ stage_in
     else:
-        outer = _propagator_band(params, w1 * dt, b)
-        inner = _propagator_band(params, w0 * dt, b)
         shifted = np.lib.stride_tricks.sliding_window_view(pad, width)
 
         def propagate(u):
@@ -272,11 +260,11 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
     the trace is turned back by e^{i l0 t'}.  At beta > 0 three Strang steps
     of weights w1, w0, w1 make Yoshida's 4th-order step (Yoshida 1990), with
     adjacent half-phases merged.  U has a band of half-width b, known in
-    advance from a Dyson-series bound; it is built once per call from
-    LAPACK's eigh on blocks of at most 4b+5 sites.  A window of at most
-    4b+5 sites is one such block, and a stage is one dense product; a wider
-    window keeps U as its band, applied without BLAS, so a step is O(W b)
-    and no W x W array is made.  Where b = 0, as at beta = 0, U is
+    advance from a Dyson-series bound; it is built once per call and stage
+    weight from one LAPACK eigh of a block of min(W, 4b+5) sites.  A window
+    of at most 4b+5 sites is that block, and a stage is one dense product; a
+    wider window keeps U as its band, applied without BLAS, so a step is
+    O(W b) and no W x W array is made.  Where b = 0, as at beta = 0, U is
     diagonal and commutes with the phase, which keeps |c_l|, so the whole
     trace is one exact per-site rotation in closed form.
 
@@ -361,19 +349,22 @@ def beating_trace(j: int, params: LatticeParams, t_end,
 
     A sum of stationary states is not itself a solution, so evolving the
     summed vector washes the beats out; the observable superposition keeps
-    each state on its own exact orbit.  The drift ledger reports the worst
-    of the three underlying integrations.
+    each state on its own exact orbit.  The sum runs in place in the first
+    state's trace; the drift ledger reports the worst of the three
+    underlying integrations.
     """
-    traces = [evolve(s.coefficients.astype(complex), params, t_end, dt)
-              for s in _well_states(j, params)]
-    summed = traces[0].states + traces[1].states + traces[2].states
-    return DynamicsTrace(
-        times=traces[0].times,
-        states=summed,
-        window=params.window,
-        norm_drift=max(t.norm_drift for t in traces),
-        energy_drift=max(t.energy_drift for t in traces),
-    )
+    first, *others = _well_states(j, params)
+    total = evolve(first.coefficients.astype(complex), params, t_end, dt)
+    for state in others:
+        member = evolve(state.coefficients.astype(complex), params, t_end, dt)
+        np.add(total.states, member.states, out=total.states)
+        total = replace(
+            total, norm_drift=max(total.norm_drift, member.norm_drift),
+            energy_drift=max(total.energy_drift, member.energy_drift))
+        # released before the next member is integrated, so at most two
+        # traces are alive: the running sum and one member
+        del member
+    return total
 
 
 MIN_SPECTRUM_SAMPLES = 1 << 10

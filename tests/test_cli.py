@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -241,6 +242,18 @@ def test_write_failure_keeps_the_earlier_file(tmp_path, monkeypatch):
     assert run(["tree", "--x-min", "0", "--x-max", "6", "--out", str(out)]) == 3
     assert out.read_text(encoding="utf-8") == "earlier\n"
     assert [p.name for p in tmp_path.iterdir()] == ["tree.csv"]
+
+
+def test_out_file_gets_the_mode_open_gives(tmp_path):
+    # the temporary file behind every --out is made 0600; the renamed file
+    # must have the mode 0666 less the umask, as open() would give it
+    out = tmp_path / "state.json"
+    umask = os.umask(0o022)
+    try:
+        assert run(["state", "--set", "0", "--x", "1.5", "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
 @pytest.mark.parametrize("n_times, stride", [(7, 1), (7, 3), (9, 4), (2, 5)])
@@ -750,6 +763,11 @@ def test_evolve_requires_inputs(capsys):
      "error: dt must not exceed t_end = 1.0, got 2.0\n"),
     (["count", "--x", "5002"],
      "error: ratio 5002.0 exceeds supported counting range (5000)\n"),
+    # the companion JSON takes the --out path with .json in its extension's
+    # place, so a .json --out would be overwritten by it
+    (["evolve", "--x", "1.5", "--out", "{not_json}"],
+     "error: --out {not_json} is also the path of the companion JSON; give "
+     "the CSV another extension\n"),
 ])
 def test_bad_input_exits_2_with_its_message(tmp_path, capsys, argv, message):
     not_json = tmp_path / "state.json"

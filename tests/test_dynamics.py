@@ -252,15 +252,13 @@ def test_evolve_step_is_the_split_step_of_the_full_window_propagator(window,
 def band_step(c, p, dt):
     """split_step with each propagator cut to its band and applied as a sum
     over the band's diagonals, as windows wider than 4b+5 apply it; the
-    window's middle site must be 0."""
-    lo = p.window[0]
+    window's middle site must be 0, so that evolve turns no phase back."""
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     w0 = 1.0 - 2.0 * w1
     b = dynamics._band_width(2.0 * p.beta * abs(w0) * dt / p.f)
     for w in (w1, w0, w1):
         tau = w * dt
-        band = dynamics._diagonals(
-            dynamics._block_propagator(p, tau, lo, p.window_size, 0), b)
+        band = dynamics._diagonals(dynamics._propagator(p, tau, b), b)
         c = c * np.exp(0.5j * tau * p.nu / p.f * np.abs(c) ** 2)
         padded = np.concatenate([np.zeros(b), c, np.zeros(b)])
         c = sum(band[b + k] * padded[b + k:b + k + c.size]
@@ -270,8 +268,8 @@ def band_step(c, p, dt):
 
 
 def test_dense_small_window_step_matches_the_band_step():
-    # b = 5 here, so the 13 sites fit the 4b+5-site edge block and each
-    # stage is one dense product
+    # b = 5 here, so the 13 sites fit one 4b+5-site block and each stage
+    # is one dense product
     rng = np.random.default_rng(4)
     p = LatticeParams(nu=1.5, f=0.7, beta=0.1, window=WINDOW)
     c0 = rng.normal(size=p.window_size) + 1j * rng.normal(size=p.window_size)
@@ -516,6 +514,29 @@ def test_beating_trace_on_a_far_well_matches_well_zero(beta):
     phase = np.exp(1j * j * near.times)[:, None]
     np.testing.assert_allclose(far.states, near.states * phase,
                                rtol=0, atol=1e-9)
+
+
+def test_beating_trace_sums_its_members_in_place():
+    # the criterion-7 beating: 20 Bloch periods of three 13-site traces,
+    # 8.5 MB each
+    p = beating_params(1.5)
+    t_end = 20 * BLOCH_PERIOD
+    members = [evolve(build_state(SolutionSet(s), p).coefficients
+                      .astype(complex), p, t_end)
+               for s in ((0,), (0, 1), (-1, 0))]
+    tracemalloc.start()
+    try:
+        trace = beating_trace(0, p, t_end)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    a, b, c = (m.states for m in members)
+    np.testing.assert_array_equal(trace.states, (a + b) + c)
+    assert trace.norm_drift == max(m.norm_drift for m in members)
+    assert trace.energy_drift == max(m.energy_drift for m in members)
+    # the running sum and one member: a third trace would add 8.5 MB
+    extra = peak - 2 * trace.states.nbytes - trace.times.nbytes
+    assert extra < 4 << 20
 
 
 # ---------------------------------------------------------------------------
