@@ -44,7 +44,7 @@ MAX_TREE_SAMPLES = 1 << 25
 MAX_WINDOW_SITES = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolutionSet:
     """Finite set of occupied lattice sites, stored sorted.
 
@@ -175,7 +175,7 @@ class StationaryState:
         return float(np.sum(self.coefficients ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     """One bifurcation branch: a set, its birth threshold, and the energy
     samples mu/f over the grid points strictly above the threshold, `xs`,

@@ -166,6 +166,29 @@ def cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _tree_curves(tree) -> list[tuple[list[int], list[int]]]:
+    """The distinct energy curves of each birth block, as (firsts, curve):
+    the block row of the first branch on each distinct (N, sum S), and each
+    branch's index into `firsts`, in branch order.
+
+    mu/f = x/N + sum(S)/N depends on the set only through N and sum S, and
+    `bifurcation_tree` computes every row as xs / N, then += sum(S) / N, so
+    rows with equal N and sum S are equal bit for bit.
+    """
+    curves, start = [], 0
+    for block in tree.blocks:
+        firsts, curve, index = [], [], {}
+        for row, b in enumerate(tree.branches[start:start + len(block)]):
+            key = (b.set.cardinality, sum(b.set.sites))
+            if key not in index:
+                index[key] = len(firsts)
+                firsts.append(row)
+            curve.append(index[key])
+        curves.append((firsts, curve))
+        start += len(block)
+    return curves
+
+
 def _tree_csv(tree):
     """The tree CSV as chunks: the header, then one chunk per grid point and
     threshold whose branches are live there.
@@ -173,49 +196,71 @@ def _tree_csv(tree):
     At grid point k the energies of the branches born at one threshold are
     one column of the threshold's block in `tree.blocks`.  Branches come in
     threshold order and each threshold's samples start no earlier than the
-    one before, so the live thresholds at k are a prefix.
+    one before, so the live thresholds at k are a prefix.  Each distinct
+    curve's mu is formatted once per grid point and shared by every branch
+    on it; each branch's text before and after mu is made once.
     """
     yield "x,branch_id,set,mu_over_f,n_modes,birth_x\n"
-    labels = ["+".join(str(s) for s in b.set.sites) for b in tree.branches]
-    n_modes = [b.set.cardinality for b in tree.branches]
     size = tree.x_grid.size
-    groups = []  # (first grid index, first branch id, birth text, block.T)
+    # per threshold: its first grid index, its curves' first rows, the curve
+    # of each branch, the block's columns, and the text of its rows as four
+    # pieces per branch, x, ",id,label,", mu and ",N,birth\n", x and mu
+    # filled in at each grid point
+    groups = []
     start = 0
-    for birth, block in enumerate(tree.blocks):
-        groups.append((size - block.shape[1], start, fmt(birth), block.T))
+    for birth, (block, (firsts, curve)) in enumerate(
+            zip(tree.blocks, _tree_curves(tree))):
+        tails = {}  # one ",N,birth\n" per N
+        pieces = []
+        for i, b in enumerate(tree.branches[start:start + len(block)], start):
+            n = b.set.cardinality
+            pieces += ["", f",{i},{'+'.join(map(str, b.set.sites))},", "",
+                       tails.setdefault(n, f",{n},{birth}\n")]
+        groups.append((size - block.shape[1], firsts, curve, block.T, pieces))
         start += len(block)
     for k, x in enumerate(tree.x_grid.tolist()):
         x_text = fmt(x)
-        for first, first_id, birth_text, columns in groups:
+        for first, firsts, curve, columns, pieces in groups:
             if first > k:
                 break
-            yield "".join([
-                f"{x_text},{i},{labels[i]},{mu:.17g},{n_modes[i]},{birth_text}\n"
-                for i, mu in enumerate(columns[k - first].tolist(), first_id)])
+            column = columns[k - first].tolist()
+            mus = [f"{column[row]:.17g}" for row in firsts]
+            pieces[0::4] = [x_text] * len(curve)
+            pieces[2::4] = map(mus.__getitem__, curve)
+            yield "".join(pieces)
 
 
 def _tree_json(tree):
     """The tree as the text of json.dumps(payload, indent=2) plus a newline,
     written by hand: one chunk for the grid, then one per branch.
 
-    Floats are the repr of Python floats, as json writes them; each grid
-    point's repr is made once and shared by every branch's samples.
+    Floats are the repr of Python floats, as json writes them.  Each grid
+    point's repr is made once and shared by every branch's samples; each
+    distinct curve's samples text is made once within its birth block and
+    shared by every branch on the curve.
     """
     x_reprs = [repr(x) for x in tree.x_grid.tolist()]
     yield ('{\n  "x_grid": [\n    ' + ",\n    ".join(x_reprs)
            + '\n  ],\n  "branches": [')
     heads = [f"\n        [\n          {x},\n          " for x in x_reprs]
     size = len(heads)
-    for i, b in enumerate(tree.branches):
-        sites = ",\n        ".join(map(str, b.set.sites))
-        samples = "\n        ],".join([
-            f"{head}{mu!r}" for head, mu in zip(heads[size - b.xs.size:],
-                                                b.mu_over_f.tolist())])
-        yield (f'{"," if i else ""}\n    {{\n      "id": {i},\n'
-               f'      "set": [\n        {sites}\n      ],\n'
-               f'      "n_modes": {b.set.cardinality},\n'
-               f'      "birth_x": {b.birth},\n'
-               f'      "samples": [{samples}\n        ]\n      ]\n    }}')
+    i = 0
+    for block, (firsts, curve) in zip(tree.blocks, _tree_curves(tree)):
+        block_heads = heads[size - block.shape[1]:]
+        samples = [None] * len(firsts)  # made when a branch first needs it
+        for c in curve:
+            b = tree.branches[i]
+            if samples[c] is None:
+                samples[c] = "\n        ],".join([
+                    f"{head}{mu!r}"
+                    for head, mu in zip(block_heads, block[firsts[c]].tolist())])
+            sites = ",\n        ".join(map(str, b.set.sites))
+            yield (f'{"," if i else ""}\n    {{\n      "id": {i},\n'
+                   f'      "set": [\n        {sites}\n      ],\n'
+                   f'      "n_modes": {b.set.cardinality},\n'
+                   f'      "birth_x": {b.birth},\n'
+                   f'      "samples": [{samples[c]}\n        ]\n      ]\n    }}')
+            i += 1
     yield "\n  ]\n}\n"
 
 

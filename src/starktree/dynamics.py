@@ -286,10 +286,14 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
     # written so that a NaN coefficient fails the check too
     if not abs(np.sum(np.abs(c0) ** 2) - 1.0) <= 1e-8:
         raise DomainError("initial vector must be normalized")
-    n_steps = max(1, round(t_end / dt))
+    n_steps = t_end / dt
+    # round() raises on an infinite ratio; one from the cap on is refused
+    # below unrounded
+    if n_steps < MAX_TRACE_BYTES:
+        n_steps = max(1, round(n_steps))
     if (n_steps + 1) * c0.size * 16 > MAX_TRACE_BYTES:
         raise DomainError(
-            f"a trace of {n_steps + 1} samples of {c0.size} complex values "
+            f"a trace of {n_steps + 1:.6g} samples of {c0.size} complex values "
             f"exceeds {MAX_TRACE_BYTES} bytes; shorten t_end or raise dt"
         )
     beta, nu, f = params.beta, params.nu, params.f

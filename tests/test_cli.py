@@ -227,6 +227,28 @@ def test_tree_is_written_in_chunks():
     assert len(list(cli._tree_json(tree))) == 2 + len(tree.branches)
 
 
+@pytest.mark.parametrize("x_max, branches, curves", [(30, 1739, 711),
+                                                     (24, 640, 374)])
+def test_branches_on_one_curve_have_bit_identical_energies(x_max, branches,
+                                                           curves):
+    # the tree writers format each curve once for all its branches
+    tree = bifurcation_tree(0.0, x_max, samples=1001)
+    firsts_sites = set()  # the set of each curve's first branch
+    start = 0
+    for block, (firsts, curve) in zip(tree.blocks, cli._tree_curves(tree)):
+        born = tree.branches[start:start + len(block)]
+        key = [(b.set.cardinality, sum(b.set.sites)) for b in born]
+        assert len({key[row] for row in firsts}) == len(firsts)
+        for b, k, c in zip(born, key, curve):
+            assert k == key[firsts[c]]
+            assert b.mu_over_f.tobytes() == born[firsts[c]].mu_over_f.tobytes()
+        firsts_sites.update(born[row].set.sites for row in firsts)
+        start += len(block)
+    assert (len(tree.branches), len(firsts_sites)) == (branches, curves)
+    # equal N and sum S, born at 6 and at 9: two curves, one per block
+    assert {(0, 2, 4), (0, 1, 5)} <= firsts_sites
+
+
 def test_write_failure_keeps_the_earlier_file(tmp_path, monkeypatch):
     out = tmp_path / "tree.csv"
     out.write_text("earlier\n", encoding="utf-8")
@@ -763,6 +785,13 @@ def test_evolve_requires_inputs(capsys):
      "error: dt must not exceed t_end = 1.0, got 2.0\n"),
     (["count", "--x", "5002"],
      "error: ratio 5002.0 exceeds supported counting range (5000)\n"),
+    # t_end / dt is infinite, which round() cannot take
+    (["evolve", "--x", "1.5", "--t-end", "1e308", "--dt", "1e-10"],
+     "error: a trace of inf samples of 13 complex values exceeds 1073741824 "
+     "bytes; shorten t_end or raise dt\n"),
+    (["evolve", "--x", "1.5", "--dt", "5e-324"],
+     "error: a trace of inf samples of 13 complex values exceeds 1073741824 "
+     "bytes; shorten t_end or raise dt\n"),
     # the companion JSON takes the --out path with .json in its extension's
     # place, so a .json --out would be overwritten by it
     (["evolve", "--x", "1.5", "--out", "{not_json}"],

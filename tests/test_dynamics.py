@@ -422,6 +422,10 @@ def test_evolve_refuses_oversized_trace_before_allocating():
     steps = MAX_TRACE_BYTES // (16 * p.window_size)
     with pytest.raises(DomainError, match="bytes"):
         evolve(good, p, t_end=steps * 0.01, dt=0.01)
+    # t_end / dt is infinite: refused, not rounded into an OverflowError
+    for t_end, dt in ((1e308, 1e-10), (20.0 * BLOCH_PERIOD, 5e-324)):
+        with pytest.raises(DomainError, match="inf samples"):
+            evolve(good, p, t_end=t_end, dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ change so far: state_beta, continue_ok, continue_random and
 continue_failed were re-recorded when the resolved sign pattern was
 written after continuation too; their JSON differs from the earlier
 output only in its "signs" entry.  tree_live_first was recorded from the
-code before the tree writer visited only the live branches of each x, and
-tree_json_live_first from the code before the tree text was streamed.
+code before the tree writer visited only the live branches of each x,
+tree_json_live_first from the code before the tree text was streamed, and
+tree_shared_curves_csv and tree_shared_curves_json from the code before
+the tree writers formatted each distinct energy curve once for all the
+branches on it.
 The four evolve cases were re-recorded when the RK4 stage became one
 fused increment (abs2 moved by at most 5.1e-13), and again when RK4 gave
 way to the split-step integrator: against the RK4 output each has the
@@ -63,6 +66,12 @@ CASES = {
     "tree_json_live_first": ["tree", "--x-min", "2.5", "--x-max", "9",
                              "--samples", "7", "--format", "json",
                              "--out", "{out}"],
+    # 137 branches on 118 distinct (birth, N, sum S) curves
+    "tree_shared_curves_csv": ["tree", "--x-min", "0", "--x-max", "16",
+                               "--samples", "201", "--out", "{out}"],
+    "tree_shared_curves_json": ["tree", "--x-min", "0", "--x-max", "16",
+                                "--samples", "201", "--format", "json",
+                                "--out", "{out}"],
     "state_signs": ["state", "--set", "0,1,3", "--x", "7.5", "--signs=+-+"],
     "state_beta": ["state", "--set", "0,1", "--x", "1.5", "--beta", "0.02",
                    "--out", "{out}"],
@@ -218,6 +227,20 @@ GOLDEN = {
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out":
             "724f645949263b6db236bc948d73edcf21dad711e94691e4caeb1d4ce2950463",
+    },
+    "tree_shared_curves_csv": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "bd24ff46719f937a46dce76f9542ebab2ea180e99378f0e01de445971a83ada8",
+    },
+    "tree_shared_curves_json": {
+        "rc": 0,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "0bf8f5d2f7834792578a4b8e7ddd28671f04c6870dee3e1246b1a05a5b85d132",
     },
     "tree_live_first": {
         "rc": 0,
