@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -92,7 +93,9 @@ class LatticeParams:
         object.__setattr__(self, "nu", check_real(self.nu, "nu", above=0))
         object.__setattr__(self, "f", check_real(self.f, "f", above=0))
         object.__setattr__(self, "beta", check_real(self.beta, "beta", at_least=0))
-        lo, hi = (check_int(v, "window bound") for v in self.window)
+        # within int64, and hi + 1 too, so that window_sites stays int64
+        lo, hi = (check_int(v, "window bound", -2 ** 63, 2 ** 63 - 2)
+                  for v in self.window)
         if lo >= hi:
             raise ConfigurationError(f"window must satisfy lo < hi, got ({lo}, {hi})")
         if hi - lo + 1 > MAX_WINDOW_SITES:
@@ -189,13 +192,22 @@ class Branch:
 
 @dataclass(frozen=True)
 class BifurcationTree:
-    """Branches in threshold order; `blocks[n]` is the (q(n), samples) array
-    of mu/f of the branches born at threshold n, their `mu_over_f` its rows
-    in branch order."""
+    """Branches in threshold order, with each distinct energy curve held once.
+
+    mu/f = x/N + sum(S)/N depends on a set only through N and sum S, so the
+    branches born at threshold n lie on fewer curves than there are
+    branches.  `blocks[n]` is the (curves, samples) array of mu/f of those
+    curves, in order of their first branch, and `curves[n]` holds each
+    branch's row in it, in branch order; a branch's `mu_over_f` is that row.
+    Every row is computed as xs / N, then += sum(S) / N, from N and sum S
+    alone, so two branches with equal N and sum S would get equal rows bit
+    for bit, and sharing one row changes no value.
+    """
 
     branches: list[Branch]
     x_grid: np.ndarray = field(repr=False)
     blocks: list[np.ndarray] = field(repr=False)
+    curves: list[np.ndarray] = field(repr=False)
 
 
 def complementary_set(sset: SolutionSet) -> SolutionSet:
@@ -362,8 +374,12 @@ def enumerate_solution_sets(x) -> list[SolutionSet]:
 
 def _check_tree_size(n_samples: int, x_min: float, x_max: float):
     if n_samples > MAX_TREE_SAMPLES:
+        try:
+            count = f"{n_samples:.6g}"
+        except OverflowError:  # an int beyond the largest double
+            count = f"{Decimal(n_samples):.6g}"
         raise DomainError(
-            f"the tree over nu/f in [{x_min}, {x_max}] needs {n_samples} or "
+            f"the tree over nu/f in [{x_min}, {x_max}] needs {count} or "
             f"more branch samples, above the cap of {MAX_TREE_SAMPLES}; "
             f"narrow the range or use fewer grid samples"
         )
@@ -378,7 +394,8 @@ def bifurcation_tree(x_min, x_max, samples: int = 1001) -> BifurcationTree:
     come in threshold order, so each samples a suffix of the read-only
     x_grid that starts no earlier than the one before, and `xs` is a view
     of that suffix.  The q(n) branches born at threshold n share `xs`, and
-    their energies are the rows of one (q(n), samples) block, `blocks[n]`.
+    their energies are the rows of one block, `blocks[n]`, one row per
+    distinct (N, sum S); `curves[n]` gives each branch's row.
     A tree of more than MAX_TREE_SAMPLES samples is refused before any set
     is enumerated.
     """
@@ -401,17 +418,21 @@ def bifurcation_tree(x_min, x_max, samples: int = 1001) -> BifurcationTree:
                      x_min, x_max)
     # the sets come in threshold order, q[n] of them born at threshold n
     sets = enumerate_solution_sets(x_max)
-    branches, blocks = [], []
+    branches, blocks, curves = [], [], []
     for birth, (q_n, k) in enumerate(zip(q, first)):
         born = sets[len(branches):len(branches) + q_n]
         xs = grid[k:]
-        n = np.array([sset.cardinality for sset in born], dtype=float)[:, None]
-        sums = np.array([sum(sset.sites) for sset in born], dtype=float)[:, None]
-        # sum(S) and N are exact floats, so each row is xs / N + sum(S) / N
-        # bit for bit; the in-place add allocates the block once
+        # each branch's row: the first-seen order of its (N, sum S)
+        index = {}
+        curve = np.array([index.setdefault((sset.cardinality, sum(sset.sites)),
+                                           len(index)) for sset in born])
+        n, sums = (np.array(v, dtype=float)[:, None] for v in zip(*index))
+        # sum(S) and N are exact floats; the in-place add allocates once
         mus = xs / n
         mus += sums / n
         blocks.append(mus)
-        branches.extend(Branch(set=sset, birth=birth, xs=xs, mu_over_f=mu)
-                        for sset, mu in zip(born, mus))
-    return BifurcationTree(branches=branches, x_grid=grid, blocks=blocks)
+        curves.append(curve)
+        branches.extend(Branch(set=sset, birth=birth, xs=xs, mu_over_f=mus[c])
+                        for sset, c in zip(born, curve.tolist()))
+    return BifurcationTree(branches=branches, x_grid=grid, blocks=blocks,
+                           curves=curves)

@@ -166,65 +166,40 @@ def cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _tree_curves(tree) -> list[tuple[list[int], list[int]]]:
-    """The distinct energy curves of each birth block, as (firsts, curve):
-    the block row of the first branch on each distinct (N, sum S), and each
-    branch's index into `firsts`, in branch order.
-
-    mu/f = x/N + sum(S)/N depends on the set only through N and sum S, and
-    `bifurcation_tree` computes every row as xs / N, then += sum(S) / N, so
-    rows with equal N and sum S are equal bit for bit.
-    """
-    curves, start = [], 0
-    for block in tree.blocks:
-        firsts, curve, index = [], [], {}
-        for row, b in enumerate(tree.branches[start:start + len(block)]):
-            key = (b.set.cardinality, sum(b.set.sites))
-            if key not in index:
-                index[key] = len(firsts)
-                firsts.append(row)
-            curve.append(index[key])
-        curves.append((firsts, curve))
-        start += len(block)
-    return curves
-
-
 def _tree_csv(tree):
     """The tree CSV as chunks: the header, then one chunk per grid point and
     threshold whose branches are live there.
 
-    At grid point k the energies of the branches born at one threshold are
+    At grid point k the energies of the curves born at one threshold are
     one column of the threshold's block in `tree.blocks`.  Branches come in
     threshold order and each threshold's samples start no earlier than the
-    one before, so the live thresholds at k are a prefix.  Each distinct
-    curve's mu is formatted once per grid point and shared by every branch
-    on it; each branch's text before and after mu is made once.
+    one before, so the live thresholds at k are a prefix.  Each curve's mu
+    is formatted once per grid point and shared by every branch on it; each
+    branch's text before and after mu is made once.
     """
     yield "x,branch_id,set,mu_over_f,n_modes,birth_x\n"
     size = tree.x_grid.size
-    # per threshold: its first grid index, its curves' first rows, the curve
-    # of each branch, the block's columns, and the text of its rows as four
-    # pieces per branch, x, ",id,label,", mu and ",N,birth\n", x and mu
-    # filled in at each grid point
+    # per threshold: its first grid index, the curve of each branch, the
+    # block's columns, and the text of its rows as four pieces per branch,
+    # x, ",id,label,", mu and ",N,birth\n", x and mu filled in at each grid
+    # point
     groups = []
     start = 0
-    for birth, (block, (firsts, curve)) in enumerate(
-            zip(tree.blocks, _tree_curves(tree))):
+    for birth, (block, curve) in enumerate(zip(tree.blocks, tree.curves)):
         tails = {}  # one ",N,birth\n" per N
         pieces = []
-        for i, b in enumerate(tree.branches[start:start + len(block)], start):
+        for i, b in enumerate(tree.branches[start:start + len(curve)], start):
             n = b.set.cardinality
             pieces += ["", f",{i},{'+'.join(map(str, b.set.sites))},", "",
                        tails.setdefault(n, f",{n},{birth}\n")]
-        groups.append((size - block.shape[1], firsts, curve, block.T, pieces))
-        start += len(block)
+        groups.append((size - block.shape[1], curve.tolist(), block.T, pieces))
+        start += len(curve)
     for k, x in enumerate(tree.x_grid.tolist()):
         x_text = fmt(x)
-        for first, firsts, curve, columns, pieces in groups:
+        for first, curve, columns, pieces in groups:
             if first > k:
                 break
-            column = columns[k - first].tolist()
-            mus = [f"{column[row]:.17g}" for row in firsts]
+            mus = [f"{mu:.17g}" for mu in columns[k - first].tolist()]
             pieces[0::4] = [x_text] * len(curve)
             pieces[2::4] = map(mus.__getitem__, curve)
             yield "".join(pieces)
@@ -236,8 +211,8 @@ def _tree_json(tree):
 
     Floats are the repr of Python floats, as json writes them.  Each grid
     point's repr is made once and shared by every branch's samples; each
-    distinct curve's samples text is made once within its birth block and
-    shared by every branch on the curve.
+    curve's samples text is made once per birth block and shared by every
+    branch on the curve.
     """
     x_reprs = [repr(x) for x in tree.x_grid.tolist()]
     yield ('{\n  "x_grid": [\n    ' + ",\n    ".join(x_reprs)
@@ -245,15 +220,13 @@ def _tree_json(tree):
     heads = [f"\n        [\n          {x},\n          " for x in x_reprs]
     size = len(heads)
     i = 0
-    for block, (firsts, curve) in zip(tree.blocks, _tree_curves(tree)):
+    for block, curve in zip(tree.blocks, tree.curves):
         block_heads = heads[size - block.shape[1]:]
-        samples = [None] * len(firsts)  # made when a branch first needs it
-        for c in curve:
+        samples = ["\n        ],".join([f"{head}{mu!r}"
+                                         for head, mu in zip(block_heads, row)])
+                   for row in block.tolist()]
+        for c in curve.tolist():
             b = tree.branches[i]
-            if samples[c] is None:
-                samples[c] = "\n        ],".join([
-                    f"{head}{mu!r}"
-                    for head, mu in zip(block_heads, block[firsts[c]].tolist())])
             sites = ",\n        ".join(map(str, b.set.sites))
             yield (f'{"," if i else ""}\n    {{\n      "id": {i},\n'
                    f'      "set": [\n        {sites}\n      ],\n'

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -73,6 +74,16 @@ def test_lattice_params_validation():
     p = LatticeParams.for_set(SolutionSet((0, 2)), nu=3.0, f=1.0)
     assert p.window == (-5, 7)
     assert p.ratio == 3.0
+    # np.arange(lo, hi + 1) is int64 up to hi = 2**63 - 2; at 2**63 - 1 it
+    # turns float64, and past int64 it holds Python ints
+    for window in ((-2 ** 63, -2 ** 63 + 12), (2 ** 63 - 14, 2 ** 63 - 2)):
+        sites = LatticeParams(nu=1.0, f=1.0, window=window).window_sites
+        assert sites.dtype == np.int64
+        assert sites.tolist() == list(range(window[0], window[1] + 1))
+    for window in ((-2 ** 63 - 1, -2 ** 63 + 11), (2 ** 63 - 13, 2 ** 63 - 1),
+                   (10 ** 20, 10 ** 20 + 12)):
+        with pytest.raises(DomainError, match="window bound"):
+            LatticeParams(nu=1.0, f=1.0, window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +345,54 @@ def test_tree_samples_strictly_above_birth_and_exact_energies():
 def test_tree_energies_per_threshold_block_are_exact(samples):
     tree = bifurcation_tree(0.0, 20.0, samples=samples)
     assert len(tree.branches) == counting_function(20) + 1
-    assert len(tree.blocks) == 20
-    for n, block in enumerate(tree.blocks):
-        assert len(block) == q_distinct(n)
-    for branch in tree.branches:
-        n = branch.set.cardinality
-        expected = branch.xs / n + sum(branch.set.sites) / n
-        assert np.array_equal(branch.mu_over_f, expected)
-        # a row of the (q(n), samples) block of its birth threshold
-        block = tree.blocks[branch.birth]
-        assert np.shares_memory(branch.mu_over_f, block)
-        assert block.shape[1] == branch.xs.size
+    assert len(tree.blocks) == len(tree.curves) == 20
+    start = 0
+    for n, (block, curve) in enumerate(zip(tree.blocks, tree.curves)):
+        assert len(curve) == q_distinct(n)
+        born = tree.branches[start:start + len(curve)]
+        # one block row per distinct (N, sum S)
+        keys = {(b.set.cardinality, sum(b.set.sites)) for b in born}
+        assert len(block) == len(keys)
+        for branch, row in zip(born, curve):
+            assert branch.birth == n
+            m = branch.set.cardinality
+            expected = branch.xs / m + sum(branch.set.sites) / m
+            assert np.array_equal(branch.mu_over_f, expected)
+            # the curve's row of the block of its birth threshold
+            assert np.shares_memory(branch.mu_over_f, block[row])
+            assert block.shape[1] == branch.xs.size
+        start += len(curve)
+    assert start == len(tree.branches)
+
+
+@pytest.mark.parametrize("x_min, x_max, samples, branches, curves", [
+    (0.0, 30.0, 1001, 1739, 711), (0.0, 24.0, 1001, 640, 374),
+    (51.0, 52.0, 2, 35680, 3417),
+])
+def test_branches_on_one_curve_share_one_block_row(x_min, x_max, samples,
+                                                   branches, curves):
+    # mu/f = x/N + sum(S)/N: the branches of a block with equal N and sum S
+    # share one row, bit-identical to their own xs / N + sum(S) / N
+    tree = bifurcation_tree(x_min, x_max, samples=samples)
+    first_sets = set()  # the set of each row's first branch
+    start = 0
+    for block, curve in zip(tree.blocks, tree.curves):
+        born = tree.branches[start:start + len(curve)]
+        rows, firsts = {}, {}
+        for b, row in zip(born, curve.tolist()):
+            n, total = key = (b.set.cardinality, sum(b.set.sites))
+            assert rows.setdefault(key, row) == row
+            firsts.setdefault(row, b.set.sites)
+            assert b.mu_over_f.tobytes() == (b.xs / n + total / n).tobytes()
+        # distinct keys get distinct rows, numbered in order of first
+        # appearance, and every row has a branch
+        assert list(rows.values()) == list(range(len(block)))
+        first_sets.update(firsts.values())
+        start += len(curve)
+    assert (len(tree.branches), sum(map(len, tree.blocks))) == (branches,
+                                                                curves)
+    # equal N and sum S, born at 6 and at 9: two curves, one per block
+    assert {(0, 2, 4), (0, 1, 5)} <= first_sets
 
 
 def test_tree_branches_are_views_of_a_read_only_grid():
@@ -435,3 +483,13 @@ def test_tree_of_many_integers_refused_before_the_grid(monkeypatch):
     # 8e12 samples or more, though the 4e6 integers alone are under the cap
     with pytest.raises(DomainError, match="cap"):
         bifurcation_tree(0.0, 4e6)
+
+
+@pytest.mark.parametrize("x_min, x_max, count", [
+    (4999.0, 5000.0, "1.24479e+57"),
+    # past the largest double, where the int cannot become a float
+    (1e300, 1e301, "4.05000e+601"),
+])
+def test_tree_cap_message_gives_six_significant_digits(x_min, x_max, count):
+    with pytest.raises(DomainError, match=rf"needs {re.escape(count)} or more"):
+        bifurcation_tree(x_min, x_max)

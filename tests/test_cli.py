@@ -227,28 +227,6 @@ def test_tree_is_written_in_chunks():
     assert len(list(cli._tree_json(tree))) == 2 + len(tree.branches)
 
 
-@pytest.mark.parametrize("x_max, branches, curves", [(30, 1739, 711),
-                                                     (24, 640, 374)])
-def test_branches_on_one_curve_have_bit_identical_energies(x_max, branches,
-                                                           curves):
-    # the tree writers format each curve once for all its branches
-    tree = bifurcation_tree(0.0, x_max, samples=1001)
-    firsts_sites = set()  # the set of each curve's first branch
-    start = 0
-    for block, (firsts, curve) in zip(tree.blocks, cli._tree_curves(tree)):
-        born = tree.branches[start:start + len(block)]
-        key = [(b.set.cardinality, sum(b.set.sites)) for b in born]
-        assert len({key[row] for row in firsts}) == len(firsts)
-        for b, k, c in zip(born, key, curve):
-            assert k == key[firsts[c]]
-            assert b.mu_over_f.tobytes() == born[firsts[c]].mu_over_f.tobytes()
-        firsts_sites.update(born[row].set.sites for row in firsts)
-        start += len(block)
-    assert (len(tree.branches), len(firsts_sites)) == (branches, curves)
-    # equal N and sum S, born at 6 and at 9: two curves, one per block
-    assert {(0, 2, 4), (0, 1, 5)} <= firsts_sites
-
-
 def test_write_failure_keeps_the_earlier_file(tmp_path, monkeypatch):
     out = tmp_path / "tree.csv"
     out.write_text("earlier\n", encoding="utf-8")
@@ -816,14 +794,23 @@ def test_bad_input_exits_2_with_its_message(tmp_path, capsys, argv, message):
     ["state", "--set", "0,1", "--nu", "1", "--x", "0"],
     ["evolve", "--x", "0"],
     ["evolve", "--nu", "1", "--f", "0"],
+    # window bounds beyond int64, from --j and from a state file
+    ["evolve", "--x", "1.5", "--j", str(-10 ** 20), "--t-end", "30"],
+    ["evolve", "--initial", "wide-0.0.json", "--t-end", "30"],
+    ["evolve", "--initial", "wide-0.01.json", "--t-end", "30"],
 ])
-def test_zero_ratio_or_tilt_exits_2_without_traceback(argv):
+def test_zero_ratio_or_tilt_exits_2_without_traceback(tmp_path, argv):
+    for beta in (0.0, 0.01):
+        lo = 10 ** 20
+        (tmp_path / f"wide-{beta}.json").write_text(json.dumps({
+            "nu": 1.5, "f": 1.0, "beta": beta, "window": [lo, lo + 12],
+            "coefficients": {str(lo + 6): 1.0}}), encoding="utf-8")
     # run as a process, so an exception escaping main shows as a traceback
     src = str(Path(starktree.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "starktree.cli", *argv],
                           capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
