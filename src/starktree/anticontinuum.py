@@ -26,6 +26,12 @@ from .errors import (ConfigurationError, DomainError, InadmissibleSetError,
 from .partitions import (MAX_ENUMERATION, MAX_N, _q_table, counting_function,
                          enumerate_distinct_partitions)
 
+__all__ = ["BifurcationTree", "Branch", "LatticeParams", "SolutionSet",
+           "StationaryState", "admissible", "bifurcation_tree",
+           "birth_threshold", "build_state", "complementary_set",
+           "consecutive_threshold", "energy_of_set", "enumerate_solution_sets",
+           "translate_state"]
+
 # Margin giving finite-hopping tails below 1e-12 for the beta ranges the
 # continuation targets (beta' <= 0.05).
 DEFAULT_WINDOW_MARGIN = 5
@@ -34,6 +40,9 @@ DEFAULT_WINDOW_MARGIN = 5
 MIN_WINDOW_MARGIN = 2
 
 NORMALIZATION_TOL = 1e-12
+
+# Points of a tree's uniform nu/f grid when the caller gives none.
+DEFAULT_TREE_SAMPLES = 1001
 
 # Largest number of (x, mu/f) samples one bifurcation tree may hold; larger
 # requests are refused before any set is enumerated.
@@ -103,6 +112,10 @@ class LatticeParams:
                 f"window ({lo}, {hi}) holds {hi - lo + 1} sites, above the cap "
                 f"of {MAX_WINDOW_SITES}"
             )
+        # a bound on the operator's terms at |c_l| <= 1; where it is finite,
+        # so are the residual, the tilt and the energy of a normalized state
+        check_real(self.nu + 4.0 * self.beta + self.f * max(abs(lo), abs(hi)),
+                   "operator scale nu + 4 beta + f max(|lo|, |hi|)")
         object.__setattr__(self, "window", (lo, hi))
 
     @property
@@ -385,7 +398,8 @@ def _check_tree_size(n_samples: int, x_min: float, x_max: float):
         )
 
 
-def bifurcation_tree(x_min, x_max, samples: int = 1001) -> BifurcationTree:
+def bifurcation_tree(x_min, x_max, samples: int = DEFAULT_TREE_SAMPLES
+                     ) -> BifurcationTree:
     """Energy branches mu/f over a uniform nu/f grid with the integer birth
     points inserted exactly.
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import dynamics
 from .anticontinuum import (
+    DEFAULT_TREE_SAMPLES,
     LatticeParams,
     SolutionSet,
     StationaryState,
@@ -31,6 +32,7 @@ from .anticontinuum import (
     build_state,
 )
 from .continuation import (
+    DEFAULT_CONTINUATION_STEPS,
     continue_in_beta,
     dnls_residual,
     jacobian_diagonal_t0,
@@ -51,6 +53,17 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 EXIT_SOLVER = 4
 EXIT_INTEGRATION = 5
+
+# The exit code of each error main reports as "error: ..."; the first type
+# that matches wins.
+EXIT_CODES = {
+    DomainError: EXIT_INPUT,
+    ConfigurationError: EXIT_INPUT,
+    SolverError: EXIT_SOLVER,
+    ResonanceError: EXIT_SOLVER,
+    IntegrationError: EXIT_INTEGRATION,
+    OSError: EXIT_IO,
+}
 
 
 def fmt(value) -> str:
@@ -251,8 +264,8 @@ def _resolve_set(args: argparse.Namespace
 
 
 def _steps(args: argparse.Namespace) -> int:
-    """--steps, 10 when it is not given."""
-    return 10 if args.steps is None else args.steps
+    """--steps, DEFAULT_CONTINUATION_STEPS when it is not given."""
+    return DEFAULT_CONTINUATION_STEPS if args.steps is None else args.steps
 
 
 def _state_at_beta(args: argparse.Namespace):
@@ -420,8 +433,7 @@ def _evolve_csv(trace: dynamics.DynamicsTrace, stride: int):
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    if args.stride < 1:
-        raise DomainError(f"--stride must be >= 1, got {args.stride}")
+    check_int(args.stride, "--stride", 1)
     json_out = os.path.splitext(args.out)[0] + ".json" if args.out else None
     if args.out and json_out == args.out:
         raise DomainError(f"--out {args.out} is also the path of the "
@@ -471,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--beta", type=float, default=0.0, help="hopping beta")
     common.add_argument("--steps", type=int, default=None,
                         help="continuation steps to reach beta > 0 "
-                             "(default 10)")
+                             f"(default {DEFAULT_CONTINUATION_STEPS})")
     common.add_argument("--signs", type=_parse_signs, default=None,
                         help="sign pattern '+-+' or 'random'")
     common.add_argument("--seed", type=int, default=None,
@@ -480,17 +492,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="branch counting function at nu/f")
     p_count.add_argument("--x", type=float, help="ratio nu/f")
+    p_count.set_defaults(handler=cmd_count)
 
     p_tree = sub.add_parser("tree", help="bifurcation tree dataset over nu/f")
     p_tree.add_argument("--x-min", type=float, required=True)
     p_tree.add_argument("--x-max", type=float, required=True)
-    p_tree.add_argument("--samples", type=int, default=1001)
+    p_tree.add_argument("--samples", type=int, default=DEFAULT_TREE_SAMPLES)
     p_tree.add_argument("--format", choices=("csv", "json"), default="csv")
     p_tree.add_argument("--out", type=str, default=None, help="output path")
+    p_tree.set_defaults(handler=cmd_tree)
 
-    sub.add_parser("state", parents=[common], help="stationary state as JSON")
+    sub.add_parser("state", parents=[common], help="stationary state as JSON"
+                   ).set_defaults(handler=cmd_state)
     sub.add_parser("continue", parents=[common],
-                   help="continuation path to finite hopping")
+                   help="continuation path to finite hopping"
+                   ).set_defaults(handler=cmd_continue)
     p_evolve = sub.add_parser("evolve", parents=[common],
                               help="time evolution dataset")
     p_evolve.add_argument("--t-end", type=float,
@@ -506,16 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="emit every stride-th step to the CSV")
     p_evolve.add_argument("--initial", type=str, default=None,
                           help="state JSON file to use as initial condition")
+    p_evolve.set_defaults(handler=cmd_evolve)
     return parser
-
-
-COMMANDS = {
-    "count": cmd_count,
-    "tree": cmd_tree,
-    "state": cmd_state,
-    "continue": cmd_continue,
-    "evolve": cmd_evolve,
-}
 
 
 def main(argv=None) -> int:
@@ -525,19 +533,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return COMMANDS[args.command](args)
-    except (DomainError, ConfigurationError) as exc:
+        return args.handler(args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SolverError, ResonanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 def entry():

@@ -32,11 +32,17 @@ from .errors import (
     check_real,
 )
 
+__all__ = ["ContinuationResult", "continue_in_beta", "dnls_residual",
+           "extended_jacobian", "jacobian_diagonal_t0", "newton_solve"]
+
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
 # mu/f closer than this to an empty integer rung counts as resonant.
 RESONANCE_TOL = 1e-9
+
+# Beta steps of a continuation when the caller gives none.
+DEFAULT_CONTINUATION_STEPS = 10
 
 # Largest number of beta steps one continuation may take; 20,000 steps of
 # a two-site set take a few seconds, so larger requests are refused.
@@ -123,24 +129,28 @@ def _newton(c: np.ndarray, mu: float,
     """Newton on the extended system to a residual max-norm under NEWTON_TOL
     in at most NEWTON_MAX_ITER steps.  Returns (c, mu, residual norm, iters)."""
     c = c.astype(float, copy=True)
-    r = params.residual(c, mu)
-    norm = float(np.max(np.abs(r)))
-    for iteration in range(1, NEWTON_MAX_ITER + 1):
-        if norm < NEWTON_TOL:
-            return c, mu, norm, iteration - 1
-        try:
-            step = np.linalg.solve(_jacobian(c, mu, params), -r)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Jacobian at beta = {params.beta}: {exc}",
-                              residual=norm) from exc
-        c += step[:-1]
-        mu += step[-1]
+    # a diverging iterate overflows on its way to the non-finite residual
+    # that raises SolverError; numpy's warnings would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
         r = params.residual(c, mu)
         norm = float(np.max(np.abs(r)))
-        if not math.isfinite(norm):
-            raise SolverError(
-                f"Newton diverged at beta = {params.beta}", residual=norm
-            )
+        for iteration in range(1, NEWTON_MAX_ITER + 1):
+            if norm < NEWTON_TOL:
+                return c, mu, norm, iteration - 1
+            try:
+                step = np.linalg.solve(_jacobian(c, mu, params), -r)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(
+                    f"singular Jacobian at beta = {params.beta}: {exc}",
+                    residual=norm) from exc
+            c += step[:-1]
+            mu += step[-1]
+            r = params.residual(c, mu)
+            norm = float(np.max(np.abs(r)))
+            if not math.isfinite(norm):
+                raise SolverError(
+                    f"Newton diverged at beta = {params.beta}", residual=norm
+                )
     if norm < NEWTON_TOL:
         return c, mu, norm, NEWTON_MAX_ITER
     raise SolverError(
@@ -173,7 +183,8 @@ def newton_solve(guess: StationaryState, params: LatticeParams) -> StationarySta
 
 
 def continue_in_beta(sset: SolutionSet, params: LatticeParams, beta_target,
-                     steps: int = 10, signs=None) -> ContinuationResult:
+                     steps: int = DEFAULT_CONTINUATION_STEPS, signs=None
+                     ) -> ContinuationResult:
     """Walk the branch of a set from beta = 0 to beta_target.
 
     Natural-parameter continuation in uniform beta steps, each Newton solve

@@ -25,6 +25,9 @@ from .anticontinuum import (
 )
 from .errors import ConfigurationError, DomainError, IntegrationError, check_real
 
+__all__ = ["BLOCH_PERIOD", "DynamicsTrace", "beat_periods", "beating_profile",
+           "beating_trace", "evolve", "spectrum", "superposition_state"]
+
 BLOCH_PERIOD = 2.0 * math.pi
 
 # 2048 steps per Bloch period: the sampling of the trace.  At beta = 0 the
@@ -121,16 +124,15 @@ def _propagator(params: LatticeParams, tau: float, b: int) -> np.ndarray:
     """U = exp(i tau H/f) on the window, from one eigh of the block of its
     first m = min(W, 4b+5) sites, with Dirichlet ends.
 
-    H is the window operator: LatticeParams.hopping plus the tilt
-    f (l - l0) relative to the window's middle site l0; eigh sees the tilt
-    relative to the block's middle site, and the constant remainder is a
-    phase.  Where m = W the block is U, returned dense.  Otherwise U is
-    returned as its (2b+1, W) band, built in O(W b).  Since the tilt grows
-    by f per site, U[l + s, k + s] = e^{i tau s} U[l, k] away from the
-    ends, so the block gives every row: its first 2b+2 rows the window's
-    first, its middle row each middle one, and its last 2b+2 rows, turned
-    by e^{i tau (W - m)}, the window's last.  Entries beyond the band are
-    below the _band_width bound.
+    H is the window operator: LatticeParams.hopping plus the tilt f l;
+    eigh sees the tilt relative to the block's middle site, and the
+    constant remainder is a phase.  Where m = W the block is U, returned
+    dense.  Otherwise U is returned as its (2b+1, W) band, built in
+    O(W b).  Since the tilt grows by f per site, U[l + s, k + s] =
+    e^{i tau s} U[l, k] away from the ends, so the block gives every row:
+    its first 2b+2 rows the window's first, its middle row each middle
+    one, and its last 2b+2 rows, turned by e^{i tau (W - m)}, the window's
+    last.  Entries beyond the band are below the _band_width bound.
     """
     width = params.window_size
     m = min(width, 4 * b + 5)
@@ -140,7 +142,7 @@ def _propagator(params: LatticeParams, tau: float, b: int) -> np.ndarray:
     u = (v * np.exp(1j * tau * w)) @ v.T
     # one Newton-Schulz pass: unitary to round-off, so the norm stays flat
     u = 1.5 * u - 0.5 * (u @ (u.conj().T @ u))
-    u = u * np.exp(1j * tau * (mid - (width - 1) // 2))
+    u = u * np.exp(1j * tau * (mid + params.window[0]))
     if m == width:
         return u
     # window row l is the block's row l - shift, turned by e^{i tau shift}
@@ -151,19 +153,16 @@ def _propagator(params: LatticeParams, tau: float, b: int) -> np.ndarray:
 
 def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
                  n_steps: int) -> np.ndarray:
-    """The n_steps + 1 states of evolve's split steps from c0, in the frame
-    of the window's middle site l0.
+    """The n_steps + 1 states of evolve's split steps from c0.
 
     Where the band half-width b is 0 the trace is the closed form
-    c0 exp(i k rate), rate = dt (l - l0 - 2 beta/f + nu/f |c0|^2), with no
+    c0 exp(i k rate), rate = dt (l - 2 beta/f + nu/f |c0|^2), with no
     time loop.  Otherwise each stage applies the U of _propagator: one dense
     product on a window of at most 4b+5 sites, else a sum over U's band.
     The propagator buffers are freed on return, before evolve's ledger
     runs.
     """
     beta, nu, f = params.beta, params.nu, params.f
-    lo, hi = params.window
-    l0 = (lo + hi) // 2
     # Yoshida's triple jump: Strang steps of w1 dt, w0 dt and w1 dt; w0 is
     # negative and the longest, so the band follows |w0| dt
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -176,7 +175,7 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
         # phase and keeps |c_l|, so step k turns c0 by k times one per-site
         # angle; the angles, then their cosines and sines, are written in
         # place, so no trace-sized temporary is made
-        rate = dt * (params.window_sites - l0 - 2.0 * beta / f
+        rate = dt * (params.window_sites - 2.0 * beta / f
                      + nu / f * np.abs(c0) ** 2)
         np.multiply.outer(np.arange(n_steps + 1), rate, out=states.imag)
         np.cos(states.imag, out=states.real)
@@ -220,14 +219,13 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
 
 def _drifts(states: np.ndarray, params: LatticeParams) -> tuple[float, float]:
     """(norm_drift, energy_drift), as DynamicsTrace defines them, of a trace
-    in the frame of the window's middle site.
+    with the tilt f l of its window.
 
     Each row sum is an einsum over the real and imaginary parts, with
     |c|^2 = re^2 + im^2 and |c|^4 = re^4 + 2 re^2 im^2 + im^4, so no
     trace-sized temporary is made.
     """
-    lo, hi = params.window
-    tilt = params.f * (params.window_sites - (lo + hi) // 2)
+    tilt = params.f * params.window_sites
     re, im = states.real, states.imag
     norms = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
     norm_drift = float(np.max(np.abs(norms - 1.0)))
@@ -255,18 +253,20 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
     step (Strang 1968) applies the exact nonlinear phase
     exp(i dt nu |c|^2 / 2f), then the exact linear propagator
     U = exp(i dt H/f), then the phase again; H is the window operator,
-    LatticeParams.hopping plus the tilt f (l - l0) relative to the window's
-    middle site l0, so accuracy does not depend on where the window sits;
-    the trace is turned back by e^{i l0 t'}.  At beta > 0 three Strang steps
-    of weights w1, w0, w1 make Yoshida's 4th-order step (Yoshida 1990), with
-    adjacent half-phases merged.  U has a band of half-width b, known in
-    advance from a Dyson-series bound; it is built once per call and stage
-    weight from one LAPACK eigh of a block of min(W, 4b+5) sites.  A window
-    of at most 4b+5 sites is that block, and a stage is one dense product; a
-    wider window keeps U as its band, applied without BLAS, so a step is
-    O(W b) and no W x W array is made.  Where b = 0, as at beta = 0, U is
-    diagonal and commutes with the phase, which keeps |c_l|, so the whole
-    trace is one exact per-site rotation in closed form.
+    LatticeParams.hopping plus the tilt f l.  A shift by j sites along the
+    tilt only turns a trace by e^{i j t'}, so the steps run on the window
+    moved to put its middle site l0 at 0, where accuracy does not depend on
+    where the window sits, and the trace is turned back by e^{i l0 t'}.  At
+    beta > 0 three Strang steps of weights w1, w0, w1 make Yoshida's
+    4th-order step (Yoshida 1990), with adjacent half-phases merged.  U has
+    a band of half-width b, known in advance from a Dyson-series bound; it
+    is built once per call and stage weight from one LAPACK eigh of a block
+    of min(W, 4b+5) sites.  A window of at most 4b+5 sites is that block,
+    and a stage is one dense product; a wider window keeps U as its band,
+    applied without BLAS, so a step is O(W b) and no W x W array is made.
+    Where b = 0, as at beta = 0, U is diagonal and commutes with the phase,
+    which keeps |c_l|, so the whole trace is one exact per-site rotation in
+    closed form.
 
     The trace is sampled every step.  A step that turns the nonlinear or
     hopping rate, max(nu, 4 beta)/f, by more than pi, or a norm or energy
@@ -304,18 +304,20 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
             f"more than pi; reduce dt below {math.pi / rate:.6g}"
         )
 
+    lo, hi = params.window
+    l0 = (lo + hi) // 2
+    frame = replace(params, window=(lo - l0, hi - l0))
     times = np.arange(n_steps + 1) * dt
-    states = _split_steps(c0, params, dt, n_steps)
+    states = _split_steps(c0, frame, dt, n_steps)
     # the ledger reads |c_l|^2 and conj(c_l) c_{l+1}, which the turn-back
-    # by e^{i l0 t'} below leaves as they are, so it runs in the l0 frame
-    norm_drift, energy_drift = _drifts(states, params)
+    # by e^{i l0 t'} below leaves as they are, so it runs in the frame
+    norm_drift, energy_drift = _drifts(states, frame)
     if not (norm_drift <= DRIFT_LIMIT and energy_drift <= DRIFT_LIMIT):
         raise IntegrationError(
             f"norm drifted by {norm_drift:.3e} and energy by "
             f"{energy_drift:.3e} (limit {DRIFT_LIMIT}); reduce dt below {dt}"
         )
-    lo, hi = params.window
-    states *= np.exp(1j * ((lo + hi) // 2) * times)[:, None]
+    states *= np.exp(1j * l0 * times)[:, None]
     return DynamicsTrace(times=times, states=states, window=params.window,
                          norm_drift=norm_drift, energy_drift=energy_drift)
 

@@ -1,13 +1,15 @@
 """Exception types shared across the package, plus the integer- and
 real-argument checks, which raise DomainError.
 
-The CLI maps these onto its exit-code contract: bad input 2, I/O 3,
-solver/continuation failures 4, integration quality 5.
+The CLI maps these onto its exit codes in `cli.EXIT_CODES`.
 """
 
 import math
 import numbers
 import operator
+
+__all__ = ["ConfigurationError", "DomainError", "InadmissibleSetError",
+           "IntegrationError", "ResonanceError", "SolverError"]
 
 
 class DomainError(ValueError):

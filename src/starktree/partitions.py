@@ -16,6 +16,9 @@ import math
 
 from .errors import DomainError, check_int, check_real
 
+__all__ = ["counting_function", "enumerate_distinct_partitions",
+           "f_asymptotic", "q_asymptotic", "q_distinct"]
+
 # The exact counts cost O(n^1.5) integer additions, but counts this deep are
 # astronomically beyond anything the bifurcation analysis can use, so cap.
 MAX_N = 5000

@@ -19,6 +19,7 @@ from starktree import (
     build_state,
     complementary_set,
     consecutive_threshold,
+    continue_in_beta,
     counting_function,
     dnls_residual,
     energy_of_set,
@@ -84,6 +85,18 @@ def test_lattice_params_validation():
                    (10 ** 20, 10 ** 20 + 12)):
         with pytest.raises(DomainError, match="window bound"):
             LatticeParams(nu=1.0, f=1.0, window=window)
+    # the operator scale nu + 4 beta + f max(|lo|, |hi|) must be finite
+    edge = (2 ** 63 - 14, 2 ** 63 - 2)
+    for accepted, refused in (
+            ({"nu": 1.5e307, "f": 1e307, "window": (-5, 6)},
+             {"nu": 1.5e308, "f": 1e308, "window": (-5, 6)}),
+            ({"nu": 1.0, "f": 1.0, "beta": 1e307},
+             {"nu": 1.0, "f": 1.0, "beta": 1e308}),
+            ({"nu": 1.0, "f": 1e289, "window": edge},
+             {"nu": 1.0, "f": 1e290, "window": edge})):
+        LatticeParams(**accepted)
+        with pytest.raises(DomainError, match="operator scale"):
+            LatticeParams(**refused)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +173,8 @@ def test_build_singleton():
     assert st.coefficient_at(0) == 1.0
     assert st.mu == 2.0
     assert np.count_nonzero(st.coefficients) == 1
+    with pytest.raises(ConfigurationError, match="outside window"):
+        st.coefficient_at(6)
 
 
 def test_build_two_mode_reference_amplitudes():
@@ -218,6 +233,15 @@ def test_sign_strings_accepted():
         build_state(s, p, signs="+x")
 
 
+def test_signs_that_are_not_plus_minus_one_are_refused():
+    s = SolutionSet((0, 1))
+    p = LatticeParams.for_set(s, nu=1.5, f=1.0)
+    with pytest.raises(DomainError, match="must be \\+-1"):
+        build_state(s, p, signs=(1, 0))
+    with pytest.raises(DomainError, match="sequence"):
+        build_state(s, p, signs=5)
+
+
 # ---------------------------------------------------------------------------
 # translation
 
@@ -243,6 +267,21 @@ def test_translate_escaping_window_raises():
     st = build_state(s, p)
     with pytest.raises(ConfigurationError):
         translate_state(st, 2)
+
+
+def test_translate_continued_state_keeps_its_norm_in_the_window():
+    # continuation spreads the state over the window (set None), so the
+    # window is checked through the norm the shift keeps
+    s = SolutionSet((0,))
+    st = continue_in_beta(s, LatticeParams.for_set(s, nu=2.5, f=1.0), 0.01,
+                          steps=1).state
+    assert st.set is None
+    shifted = translate_state(st, 1)
+    assert shifted.set is None
+    assert shifted.mu == st.mu + 1.0
+    assert shifted.coefficient_at(1) == st.coefficient_at(0)
+    with pytest.raises(ConfigurationError, match="of the norm out"):
+        translate_state(st, 5)
 
 
 def test_translate_beyond_double_precision_raises():

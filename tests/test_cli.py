@@ -23,6 +23,17 @@ def run(argv):
     return main(argv)
 
 
+def run_process(argv, cwd):
+    """Run the CLI as a process in `cwd`, with every warning an error, so a
+    warning or an exception escaping main shows on stderr."""
+    src = str(Path(starktree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "starktree.cli", *argv],
+        capture_output=True, text=True, timeout=120, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path})
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
@@ -775,6 +786,12 @@ def test_evolve_requires_inputs(capsys):
     (["evolve", "--x", "1.5", "--out", "{not_json}"],
      "error: --out {not_json} is also the path of the companion JSON; give "
      "the CSV another extension\n"),
+    (["state", "--set", "0,1", "--x", "1.5", "--signs=1,0"],
+     "error: signs must be +-1, got (1, 0)\n"),
+    (["evolve", "--x", "1.5", "--site", "100", "--t-end", "31.4"],
+     "error: site 100 outside window (-6, 6)\n"),
+    (["evolve", "--x", "1.5", "--stride", "0"],
+     "error: --stride must be >= 1, got 0\n"),
 ])
 def test_bad_input_exits_2_with_its_message(tmp_path, capsys, argv, message):
     not_json = tmp_path / "state.json"
@@ -798,6 +815,14 @@ def test_bad_input_exits_2_with_its_message(tmp_path, capsys, argv, message):
     ["evolve", "--x", "1.5", "--j", str(-10 ** 20), "--t-end", "30"],
     ["evolve", "--initial", "wide-0.0.json", "--t-end", "30"],
     ["evolve", "--initial", "wide-0.01.json", "--t-end", "30"],
+    # an operator scale nu + 4 beta + f max(|lo|, |hi|) beyond the doubles
+    ["state", "--set", "0,1", "--x", "1.5", "--f", "1e308"],
+    ["state", "--set", "0,1", "--x", "1.5", "--beta", "1e308"],
+    ["evolve", "--x", "1.5", "--f", "1e308"],
+    ["evolve", "--x", "1.5", "--nu", "1.7e308"],
+    ["continue", "--set", "0,1", "--x", "1.5", "--f", "1e308",
+     "--beta", "0.01"],
+    ["evolve", "--initial", "huge.json"],
 ])
 def test_zero_ratio_or_tilt_exits_2_without_traceback(tmp_path, argv):
     for beta in (0.0, 0.01):
@@ -805,15 +830,24 @@ def test_zero_ratio_or_tilt_exits_2_without_traceback(tmp_path, argv):
         (tmp_path / f"wide-{beta}.json").write_text(json.dumps({
             "nu": 1.5, "f": 1.0, "beta": beta, "window": [lo, lo + 12],
             "coefficients": {str(lo + 6): 1.0}}), encoding="utf-8")
-    # run as a process, so an exception escaping main shows as a traceback
-    src = str(Path(starktree.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "starktree.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
-                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
+    (tmp_path / "huge.json").write_text(json.dumps({
+        "nu": 1.5e308, "f": 1e308, "beta": 0.0, "window": [-5, 6],
+        "coefficients": {"0": 0.9128709291752769, "1": 0.408248290463863}}),
+        encoding="utf-8")
+    proc = run_process(argv, tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+def test_diverging_newton_exits_4_without_warnings(tmp_path):
+    # the first Newton step at beta = 1e307 overflows on its way to the
+    # non-finite residual that ends the continuation
+    proc = run_process(["continue", "--set", "0,1", "--x", "1.5", "--beta",
+                        "1e307", "--steps", "1"], tmp_path)
+    assert proc.returncode == 4
+    assert proc.stderr == ("continuation failed: Newton diverged at "
+                           "beta = 1e+307\n")
 
 
 @pytest.mark.parametrize("command", [

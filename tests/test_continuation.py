@@ -132,6 +132,14 @@ def test_t0_requires_positive_energy():
         jacobian_diagonal_t0(st)
 
 
+def test_t0_requires_exact_support():
+    # a continued state has no exact support (set None) to certify
+    st = continue_in_beta(S0, params_for(S0, 2.5), 0.01, steps=1).state
+    assert st.set is None
+    with pytest.raises(ConfigurationError, match="exact support"):
+        jacobian_diagonal_t0(st)
+
+
 # ---------------------------------------------------------------------------
 # Jacobian vs central finite differences
 

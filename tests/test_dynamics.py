@@ -486,6 +486,14 @@ def test_spectrum_short_trace_rejected():
         spectrum(trace, 0)
 
 
+def test_spectrum_nonuniform_trace_rejected():
+    times = np.arange(2048) * 0.01
+    times[1024:] += 0.005
+    trace = trace_from_series(times, np.exp(1j * times))
+    with pytest.raises(DomainError, match="uniformly sampled"):
+        spectrum(trace, 0)
+
+
 def test_beating_trace_around_other_wells():
     x = 2.5
     nu = 0.05
