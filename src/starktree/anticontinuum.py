@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
+from itertools import repeat
 
 import numpy as np
 
@@ -73,6 +74,14 @@ class SolutionSet:
             raise DomainError(f"duplicate sites in {sites}")
         object.__setattr__(self, "sites", tuple(sorted(sites)))
 
+    @classmethod
+    def _trusted(cls, sites: tuple[int, ...]) -> "SolutionSet":
+        """The set of `sites`, a tuple of distinct ints already in ascending
+        order, stored as given: for sets that are valid by construction."""
+        sset = object.__new__(cls)
+        object.__setattr__(sset, "sites", sites)
+        return sset
+
     @property
     def cardinality(self) -> int:
         return len(self.sites)
@@ -116,6 +125,10 @@ class LatticeParams:
         # so are the residual, the tilt and the energy of a normalized state
         check_real(self.nu + 4.0 * self.beta + self.f * max(abs(lo), abs(hi)),
                    "operator scale nu + 4 beta + f max(|lo|, |hi|)")
+        # the drive and the hopping rate in units of the tilt, which
+        # build_state and evolve's step bound read
+        check_real(self.nu / self.f, "ratio nu/f")
+        check_real(4.0 * self.beta / self.f, "ratio 4 beta/f")
         object.__setattr__(self, "window", (lo, hi))
 
     @property
@@ -378,10 +391,14 @@ def enumerate_solution_sets(x) -> list[SolutionSet]:
         )
     out: list[SolutionSet] = []
     for n in range(math.ceil(x)):
-        batch = [SolutionSet(tuple(parts[-1] - p for p in parts))
+        # a partition's parts are distinct ints rising from 0, so each
+        # reflection, read backwards, is a valid set in ascending order
+        batch = [tuple([parts[-1] - p for p in reversed(parts)])
                  for parts in enumerate_distinct_partitions(n)]
-        batch.sort(key=lambda s: (s.cardinality, s.sites))
-        out.extend(batch)
+        # by cardinality, then sites: sorted, then stably by length
+        batch.sort()
+        batch.sort(key=len)
+        out.extend(map(SolutionSet._trusted, batch))
     return out
 
 
@@ -438,15 +455,17 @@ def bifurcation_tree(x_min, x_max, samples: int = DEFAULT_TREE_SAMPLES
         xs = grid[k:]
         # each branch's row: the first-seen order of its (N, sum S)
         index = {}
-        curve = np.array([index.setdefault((sset.cardinality, sum(sset.sites)),
-                                           len(index)) for sset in born])
+        curve = [index.setdefault((len(sset.sites), sum(sset.sites)), len(index))
+                 for sset in born]
         n, sums = (np.array(v, dtype=float)[:, None] for v in zip(*index))
         # sum(S) and N are exact floats; the in-place add allocates once
         mus = xs / n
         mus += sums / n
         blocks.append(mus)
-        curves.append(curve)
-        branches.extend(Branch(set=sset, birth=birth, xs=xs, mu_over_f=mus[c])
-                        for sset, c in zip(born, curve.tolist()))
+        curves.append(np.array(curve))
+        # one view per row, shared by the branches on its curve
+        rows = list(mus)
+        branches.extend(map(Branch, born, repeat(birth), repeat(xs),
+                            map(rows.__getitem__, curve)))
     return BifurcationTree(branches=branches, x_grid=grid, blocks=blocks,
                            curves=curves)

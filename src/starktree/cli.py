@@ -202,8 +202,9 @@ def _tree_csv(tree):
         tails = {}  # one ",N,birth\n" per N
         pieces = []
         for i, b in enumerate(tree.branches[start:start + len(curve)], start):
-            n = b.set.cardinality
-            pieces += ["", f",{i},{'+'.join(map(str, b.set.sites))},", "",
+            sites = b.set.sites
+            n = len(sites)
+            pieces += ["", f",{i},{'+'.join(map(str, sites))},", "",
                        tails.setdefault(n, f",{n},{birth}\n")]
         groups.append((size - block.shape[1], curve.tolist(), block.T, pieces))
         start += len(curve)
@@ -243,7 +244,7 @@ def _tree_json(tree):
             sites = ",\n        ".join(map(str, b.set.sites))
             yield (f'{"," if i else ""}\n    {{\n      "id": {i},\n'
                    f'      "set": [\n        {sites}\n      ],\n'
-                   f'      "n_modes": {b.set.cardinality},\n'
+                   f'      "n_modes": {len(b.set.sites)},\n'
                    f'      "birth_x": {b.birth},\n'
                    f'      "samples": [{samples[c]}\n        ]\n      ]\n    }}')
             i += 1

@@ -148,7 +148,9 @@ def _propagator(params: LatticeParams, tau: float, b: int) -> np.ndarray:
     # window row l is the block's row l - shift, turned by e^{i tau shift}
     rows = np.arange(width)
     shift = np.clip(rows - mid, 0, width - m)
-    return _diagonals(u, b)[:, rows - shift] * np.exp(1j * tau * shift)
+    # in C order, so that a stage's product with it runs along whole rows
+    return np.multiply(_diagonals(u, b)[:, rows - shift],
+                       np.exp(1j * tau * shift), order="C")
 
 
 def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
@@ -159,8 +161,9 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
     c0 exp(i k rate), rate = dt (l - 2 beta/f + nu/f |c0|^2), with no
     time loop.  Otherwise each stage applies the U of _propagator: one dense
     product on a window of at most 4b+5 sites, else a sum over U's band.
-    The propagator buffers are freed on return, before evolve's ledger
-    runs.
+    The stages write into buffers made once per call, so a step allocates
+    no array.  The propagator buffers are freed on return, before evolve's
+    ledger runs.
     """
     beta, nu, f = params.beta, params.nu, params.f
     # Yoshida's triple jump: Strang steps of w1 dt, w0 dt and w1 dt; w0 is
@@ -185,35 +188,43 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
     states[0] = c0
     outer = _propagator(params, w1 * dt, b)
     inner = _propagator(params, w0 * dt, b)
-    # U c of a stage input c: one dense product where U is dense, else
-    # (band * shifted).sum(0), where shifted[j] = pad[j:j + W] views the
-    # zero-padded stage input, so c_{l+k} sits under U[l, l+k]
+    dense = outer.shape == (width, width)
+    # a stage writes U c of its input into `c`: one dense product where U
+    # is dense, else (band * shifted).sum(0) through the buffer `prod`,
+    # where shifted[j] = pad[j:j + W] views the zero-padded stage input, so
+    # c_{l+k} sits under U[l, l+k]; `prod` is in the band's C order, so the
+    # sum adds whole rows
     pad = np.zeros(width + 2 * b, dtype=complex)
     stage_in = pad[b:b + width]
-    if outer.shape == (width, width):
-        def propagate(u):
-            return u @ stage_in
-    else:
+    c = np.empty(width, dtype=complex)
+    if not dense:
         shifted = np.lib.stride_tricks.sliding_window_view(pad, width)
-
-        def propagate(u):
-            return (u * shifted).sum(axis=0)
+        prod = np.empty_like(outer)
     # phase exponents per unit |c|^2: i nu/f times the phase's duration,
     # half an outer stage at each end of a step and, between two stages,
     # the merged halves of both
-    half = 0.5j * w1 * dt * nu / f
-    merged = 0.5j * (w1 + w0) * dt * nu / f
+    half = np.complex128(0.5j * w1 * dt * nu / f)
+    merged = np.complex128(0.5j * (w1 + w0) * dt * nu / f)
+    stages = ((outer, merged), (inner, merged), (outer, half))
 
-    h = np.exp(half * (c0 * c0.conj()))
+    # a step opens with the half-phase exp(half |c|^2) that closed the step
+    # before, on the state that step left in stage_in
+    phase = np.exp(half * (c0 * c0.conj()))
+    stage_in[:] = c0
     for k in range(1, n_steps + 1):
-        np.multiply(states[k - 1], h, out=stage_in)
-        c = propagate(outer)
-        np.multiply(c, np.exp(merged * (c * c.conj())), out=stage_in)
-        c = propagate(inner)
-        np.multiply(c, np.exp(merged * (c * c.conj())), out=stage_in)
-        c = propagate(outer)
-        h = np.exp(half * (c * c.conj()))
-        np.multiply(c, h, out=states[k])
+        np.multiply(stage_in, phase, stage_in)
+        for u, scale in stages:
+            if dense:
+                u.dot(stage_in, c)
+            else:
+                np.add.reduce(np.multiply(u, shifted, prod), 0, None, c)
+            # phase = exp(scale |c|^2), computed in place
+            np.conjugate(c, phase)
+            np.multiply(c, phase, phase)
+            np.multiply(scale, phase, phase)
+            np.exp(phase, phase)
+            np.multiply(c, phase, stage_in)
+        states[k] = stage_in
     return states
 
 

@@ -57,10 +57,15 @@ def test_solution_set_sorts_and_validates():
     assert s.cardinality == 3
     assert s.is_canonical
     assert not SolutionSet((2, 5)).is_canonical
-    with pytest.raises(DomainError):
-        SolutionSet(())
-    with pytest.raises(DomainError):
-        SolutionSet((0, 1, 1))
+    assert [type(site) for site in SolutionSet((np.int64(2), 0)).sites] == [
+        int, int]
+    for sites, message in (
+            ((), "a solution set needs at least one site"),
+            ((0, 1, 1), "duplicate sites in (0, 1, 1)"),
+            ((0, 1.0), "site index must be an integer, got 1.0"),
+            ((0, True), "site index must be an integer, got True")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            SolutionSet(sites)
 
 
 def test_lattice_params_validation():
@@ -96,6 +101,15 @@ def test_lattice_params_validation():
              {"nu": 1.0, "f": 1e290, "window": edge})):
         LatticeParams(**accepted)
         with pytest.raises(DomainError, match="operator scale"):
+            LatticeParams(**refused)
+    # so must nu/f and 4 beta/f, which overflow where the scale does not
+    for accepted, refused, name in (
+            ({"nu": 1e300, "f": 1e-7}, {"nu": 1e300, "f": 1e-300}, "nu/f"),
+            ({"nu": 1.0, "f": 1e-7, "beta": 1e300},
+             {"nu": 1.0, "f": 1e-300, "beta": 1e300}, "4 beta/f")):
+        LatticeParams(**accepted)
+        with pytest.raises(DomainError, match=f"^ratio {name} must be a "
+                                              "finite real number, got inf$"):
             LatticeParams(**refused)
 
 
@@ -315,6 +329,20 @@ def test_enumerate_matches_brute_force():
 def test_enumerate_count_is_f_plus_one():
     for x in (0.5, 1.5, 3.1, 6.0, 9.2, 11.7):
         assert len(enumerate_solution_sets(x)) == counting_function(x) + 1
+
+
+def test_enumerated_sets_of_the_enum_slice_equal_validated_ones():
+    # the enumerator builds its sets without SolutionSet's checks; these
+    # are the 35,680 of the benchmark's enum slice
+    sets = enumerate_solution_sets(52)
+    assert len(sets) == counting_function(52) + 1 == 35680
+    for s in sets:
+        assert s == SolutionSet(s.sites)
+        assert type(s.sites) is tuple
+        assert all(type(site) is int for site in s.sites)
+        assert min(s.sites) == 0
+    keys = [(birth_threshold(s), len(s.sites), s.sites) for s in sets]
+    assert keys == sorted(keys)
 
 
 def test_enumerate_all_admissible_and_canonical():

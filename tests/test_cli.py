@@ -840,6 +840,23 @@ def test_zero_ratio_or_tilt_exits_2_without_traceback(tmp_path, argv):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("model, name", [
+    ({"nu": 1e300, "f": 1e-300, "beta": 0.0}, "nu/f"),
+    ({"nu": 1.0, "f": 1e-300, "beta": 1e300}, "4 beta/f"),
+])
+def test_overflowing_ratio_in_a_state_file_exits_2_naming_it(tmp_path, model,
+                                                            name):
+    # each model's operator scale is finite; its ratio overflows the doubles
+    (tmp_path / "ratio.json").write_text(json.dumps({
+        **model, "window": [-5, 6], "coefficients": {"0": 1.0}}),
+        encoding="utf-8")
+    proc = run_process(["evolve", "--initial", "ratio.json"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: state file ratio.json is not usable: "
+                           f"ratio {name} must be a finite real number, "
+                           "got inf\n")
+
+
 def test_diverging_newton_exits_4_without_warnings(tmp_path):
     # the first Newton step at beta = 1e307 overflows on its way to the
     # non-finite residual that ends the continuation

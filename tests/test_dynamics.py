@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -276,6 +277,31 @@ def test_dense_small_window_step_matches_the_band_step():
     c0 /= np.linalg.norm(c0)
     step = evolve(c0, p, t_end=0.01, dt=0.01).states[1]
     assert np.max(np.abs(step - band_step(c0, p, 0.01))) < 1e-13
+
+
+@pytest.mark.parametrize("case, digest", [
+    # b = 3: 64 sites are wider than the 17-site block, and the window's
+    # middle is not site 0, so the trace is turned back as well
+    ("64_sites", "787d87d3f534aed70a841f5f239b80b87facfe74b227418e46d237b215ee322b"),
+    # b = 14 on 300 sites, from a random state
+    ("300_sites_wide_band",
+     "06ed85f93e99d11ec983b8a4a1da8bfa6e25b8b97d131555dfd58b6562a98504"),
+])
+def test_banded_evolve_trace_is_pinned_bit_for_bit(case, digest):
+    """The sha256 of the trace's states on windows wider than 4b+5 sites,
+    which apply U as its band.  Like the evolve_hopping golden, the digest
+    depends on LAPACK's eigh: it was recorded with numpy 2.4.6 and its
+    bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) on x86-64."""
+    if case == "64_sites":
+        p = LatticeParams(nu=1.5, f=1.0, beta=0.01, window=(-30, 33))
+        trace = evolve(superposition_state(0, p), p, t_end=512 * DEFAULT_DT)
+    else:
+        rng = np.random.default_rng(4)
+        p = LatticeParams(nu=1.5, f=0.7, beta=0.1, window=(-150, 149))
+        c0 = (rng.normal(size=p.window_size)
+              + 1j * rng.normal(size=p.window_size))
+        trace = evolve(c0 / np.linalg.norm(c0), p, t_end=20.0, dt=1.0)
+    assert hashlib.sha256(trace.states.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("beta", [0.01, 0.1])
