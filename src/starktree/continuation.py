@@ -62,7 +62,8 @@ class ContinuationResult:
     certificate: float
 
 
-def _jacobian(c: np.ndarray, mu: float, params: LatticeParams) -> np.ndarray:
+def extended_jacobian(c: np.ndarray, mu: float,
+                      params: LatticeParams) -> np.ndarray:
     """Jacobian of `LatticeParams.residual` in the unknowns (c, mu): the
     hopping matrix plus the on-site terms, the mu column and the
     normalization row."""
@@ -82,11 +83,6 @@ def _jacobian(c: np.ndarray, mu: float, params: LatticeParams) -> np.ndarray:
 def dnls_residual(state: StationaryState) -> np.ndarray:
     """Full stationary residual of a state, normalization row appended."""
     return state.params.residual(state.coefficients, state.mu)
-
-
-def extended_jacobian(state: StationaryState) -> np.ndarray:
-    """Analytic Jacobian of `dnls_residual` in (coefficients, mu)."""
-    return _jacobian(state.coefficients, state.mu, state.params)
 
 
 def jacobian_diagonal_t0(state: StationaryState) -> tuple[np.ndarray, float]:
@@ -138,7 +134,7 @@ def _newton(c: np.ndarray, mu: float,
             if norm < NEWTON_TOL:
                 return c, mu, norm, iteration - 1
             try:
-                step = np.linalg.solve(_jacobian(c, mu, params), -r)
+                step = np.linalg.solve(extended_jacobian(c, mu, params), -r)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(
                     f"singular Jacobian at beta = {params.beta}: {exc}",
@@ -160,21 +156,18 @@ def _newton(c: np.ndarray, mu: float,
     )
 
 
-def newton_solve(guess: StationaryState, params: LatticeParams) -> StationaryState:
-    """Solve the finite-hopping stationary system from a warm start.
+def newton_solve(guess: StationaryState, beta) -> StationaryState:
+    """Solve the stationary system at hopping beta from a warm start, on
+    the guess's own model and window.
 
     mu is an unknown alongside the coefficients.  An already-converged
     guess is returned unchanged; otherwise the result loses its exact
     support (set becomes None).
     """
+    params = replace(guess.params, beta=beta)
     # written so that a NaN coefficient fails the check too
     if not abs(guess.norm_sq() - 1.0) <= 1e-6:
         raise DomainError("Newton guess must be normalized")
-    if params.window != guess.params.window:
-        raise ConfigurationError(
-            f"state window {guess.params.window} differs from "
-            f"requested window {params.window}"
-        )
     c, mu, _, iters = _newton(guess.coefficients, guess.mu, params)
     if iters == 0:
         return replace(guess, params=params,

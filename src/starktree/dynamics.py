@@ -20,10 +20,11 @@ from .anticontinuum import (
     SolutionSet,
     StationaryState,
     _normalize_signs,
-    _self_checked,
     build_state,
+    translate_state,
 )
-from .errors import ConfigurationError, DomainError, IntegrationError, check_real
+from .errors import (ConfigurationError, DomainError, IntegrationError,
+                     check_int, check_real)
 
 __all__ = ["BLOCH_PERIOD", "DynamicsTrace", "beat_periods", "beating_profile",
            "beating_trace", "evolve", "spectrum", "superposition_state"]
@@ -66,6 +67,7 @@ class DynamicsTrace:
         return float(self.times[1] - self.times[0])
 
     def site_column(self, site: int) -> np.ndarray:
+        site = check_int(site, "site")
         lo, hi = self.window
         if not lo <= site <= hi:
             raise ConfigurationError(f"site {site} outside window {self.window}")
@@ -315,9 +317,8 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
             f"more than pi; reduce dt below {math.pi / rate:.6g}"
         )
 
-    lo, hi = params.window
-    l0 = (lo + hi) // 2
-    frame = replace(params, window=(lo - l0, hi - l0))
+    l0 = sum(params.window) // 2
+    frame = params.shifted(-l0)
     times = np.arange(n_steps + 1) * dt
     states = _split_steps(c0, frame, dt, n_steps)
     # the ledger reads |c_l|^2 and conj(c_l) c_{l+1}, which the turn-back
@@ -337,19 +338,16 @@ def _well_states(j: int, params: LatticeParams) -> list[StationaryState]:
     """The three zero-hopping states sharing well j: {j}, {j, j+1}, {j-1, j};
     they exist together only for nu/f > 1.
 
-    Each is the well-0 state on the window shifted by -j, relabeled to well
-    j with mu + j f, so a far well carries the well-0 amplitudes bit for bit
-    instead of the round-off of mu - f l at large l; the relabeled state
-    still passes the zero-hopping self-check on its own window.
+    Each is the well-0 state built on the window moved by -j and shifted
+    up the ladder by `translate_state`, so a far well carries the well-0
+    amplitudes bit for bit instead of the round-off of mu - f l at large
+    l; the shifted state still passes the zero-hopping self-check.
     """
+    j = check_int(j, "well index")
     check_real(params.ratio, "nu/f of the three well states", above=1)
-    lo, hi = params.window
-    home = replace(params, window=(lo - j, hi - j))
-    return [_self_checked(replace(state, params=params,
-                                  mu=state.mu + j * params.f,
-                                  set=state.set.translated(j)))
-            for state in (build_state(SolutionSet(s), home)
-                          for s in ((0,), (0, 1), (-1, 0)))]
+    home = params.shifted(-j)
+    return [translate_state(build_state(SolutionSet(s), home), j)
+            for s in ((0,), (0, 1), (-1, 0))]
 
 
 def superposition_state(j: int, params: LatticeParams) -> np.ndarray:

@@ -225,10 +225,11 @@ def test_criterion_6_continuation_soundness():
 
             state = result.state
             for beta in np.linspace(beta_target, 0.0, 11)[1:]:
-                state = newton_solve(state, replace(params, beta=float(beta)))
+                state = newton_solve(state, float(beta))
             assert np.max(np.abs(state.coefficients - base.coefficients)) < 1e-10
 
-            analytic = extended_jacobian(result.state)
+            analytic = extended_jacobian(result.state.coefficients,
+                                         result.state.mu, result.state.params)
             numeric = fd_jacobian(result.state)
             scale = np.max(np.abs(analytic))
             assert np.max(np.abs(analytic - numeric)) / scale < 1e-6

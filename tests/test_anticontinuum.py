@@ -275,27 +275,29 @@ def test_translate_examples():
     assert back.mu == st.mu
 
 
-def test_translate_escaping_window_raises():
+def test_translate_refuses_a_shift_beyond_int64_or_not_an_integer():
     s = SolutionSet((0,))
-    p = LatticeParams(nu=2.0, f=1.0, window=(-3, 3))
-    st = build_state(s, p)
-    with pytest.raises(ConfigurationError):
-        translate_state(st, 2)
+    st = build_state(s, LatticeParams(nu=2.0, f=1.0, window=(-3, 3)))
+    with pytest.raises(DomainError, match="window bound"):
+        translate_state(st, 2 ** 63)
+    for j in (1.0, 0.5, True):
+        with pytest.raises(DomainError, match="translation must be an integer"):
+            translate_state(st, j)
 
 
-def test_translate_continued_state_keeps_its_norm_in_the_window():
-    # continuation spreads the state over the window (set None), so the
-    # window is checked through the norm the shift keeps
+def test_translate_moves_the_window_with_a_continued_state():
+    # continuation spreads the state over the window (set None); the shift
+    # moves the window with it, so nothing is lost and nothing is rebuilt
     s = SolutionSet((0,))
     st = continue_in_beta(s, LatticeParams.for_set(s, nu=2.5, f=1.0), 0.01,
                           steps=1).state
     assert st.set is None
-    shifted = translate_state(st, 1)
+    shifted = translate_state(st, 5)
+    assert shifted.params.window == (st.params.window[0] + 5,
+                                     st.params.window[1] + 5)
+    assert np.array_equal(shifted.coefficients, st.coefficients)
+    assert shifted.mu == st.mu + 5.0
     assert shifted.set is None
-    assert shifted.mu == st.mu + 1.0
-    assert shifted.coefficient_at(1) == st.coefficient_at(0)
-    with pytest.raises(ConfigurationError, match="of the norm out"):
-        translate_state(st, 5)
 
 
 def test_translate_beyond_double_precision_raises():

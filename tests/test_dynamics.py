@@ -472,6 +472,23 @@ def test_superposition_state_support_and_norm():
     assert abs(site0.imag) < 1e-15
 
 
+@pytest.mark.parametrize("j", [1, -7, 1000])
+def test_superposition_on_the_shifted_window_is_well_zero_bit_for_bit(j):
+    # the well-j states are the well-0 states shifted with their window
+    p = beating_params(1.5)
+    assert np.array_equal(superposition_state(j, p.shifted(j)),
+                          superposition_state(0, p))
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, True, "1"])
+def test_well_index_must_be_an_integer(j):
+    p = beating_params(1.5)
+    with pytest.raises(DomainError, match="well index must be an integer"):
+        superposition_state(j, p)
+    with pytest.raises(DomainError, match="well index must be an integer"):
+        beating_trace(j, p, t_end=BLOCH_PERIOD)
+
+
 def test_superposition_requires_consistent_ratio():
     # the three well states coexist only above nu/f = 1, read from params
     for nu in (0.9, 1.0):
@@ -512,6 +529,19 @@ def test_spectrum_short_trace_rejected():
         spectrum(trace, 0)
 
 
+@pytest.mark.parametrize("site", [1.5, True, "1"])
+@pytest.mark.parametrize("read", ["coefficient_at", "site_column", "spectrum"])
+def test_site_must_be_an_integer(read, site):
+    p = beating_params(1.5)
+    state = build_state(SolutionSet((0, 1)), p)
+    trace = trace_from_series(np.arange(2048) * 0.01, np.ones(2048))
+    call = {"coefficient_at": state.coefficient_at,
+            "site_column": trace.site_column,
+            "spectrum": lambda s: spectrum(trace, s)}[read]
+    with pytest.raises(DomainError, match="site must be an integer"):
+        call(site)
+
+
 def test_spectrum_nonuniform_trace_rejected():
     times = np.arange(2048) * 0.01
     times[1024:] += 0.005
@@ -540,9 +570,8 @@ def test_beating_trace_on_a_far_well_matches_well_zero(beta):
     x, j = 1.5, 1000
     near = beating_trace(0, beating_params(x, beta=beta),
                          t_end=2.0 * BLOCH_PERIOD)
-    far_params = LatticeParams(nu=0.05, f=0.05 / x, beta=beta,
-                               window=(WINDOW[0] + j, WINDOW[1] + j))
-    far = beating_trace(j, far_params, t_end=2.0 * BLOCH_PERIOD)
+    far = beating_trace(j, beating_params(x, beta=beta).shifted(j),
+                        t_end=2.0 * BLOCH_PERIOD)
     assert far.norm_drift < 1e-10
     # abs=0: approx would otherwise admit any drift within 1e-12
     assert far.energy_drift == pytest.approx(near.energy_drift, rel=0.1, abs=0)

@@ -26,6 +26,7 @@ from starktree import (
     enumerate_solution_sets,
     evolve,
     jacobian_diagonal_t0,
+    newton_solve,
     superposition_state,
 )
 from starktree.errors import check_real
@@ -62,6 +63,7 @@ ENTRY_POINTS = {
         STATE01.mu),
     "continue_in_beta.beta_target": (lambda v: continue_in_beta(S01, P01, v),
                                      below(0.0), 0.0),
+    "newton_solve.beta": (lambda v: newton_solve(STATE01, v), below(0.0), 0.0),
     "beat_periods": (beat_periods, 1.0, 1.5),
     "beating_profile": (lambda v: beating_profile(v, None, 0.0), 1.0, 1.5),
     "evolve.t_end": (lambda v: evolve(BEAT_VECTOR, BEAT, t_end=v, dt=0.01),
