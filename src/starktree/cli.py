@@ -260,6 +260,8 @@ def cmd_tree(args: argparse.Namespace) -> int:
 def _resolve_set(args: argparse.Namespace
                  ) -> tuple[SolutionSet, LatticeParams, tuple[int, ...]]:
     """--set as its solution set, the lattice params around it and its signs."""
+    if args.set is None:
+        raise DomainError(f"{args.command} needs --set")
     sset = SolutionSet(args.set)
     return sset, _lattice_params(args, sset), _resolve_signs(args, sset.cardinality)
 
@@ -291,8 +293,6 @@ def _state_at_beta(args: argparse.Namespace):
 
 
 def cmd_state(args: argparse.Namespace) -> int:
-    if args.set is None:
-        raise DomainError("state needs --set")
     sset, signs, state, certificate = _state_at_beta(args)
     lo, hi = state.params.window
     payload = {
@@ -312,8 +312,6 @@ def cmd_state(args: argparse.Namespace) -> int:
 
 
 def cmd_continue(args: argparse.Namespace) -> int:
-    if args.set is None:
-        raise DomainError("continue needs --set")
     sset, params, signs = _resolve_set(args)
     payload = {
         "set": list(sset.sites),
@@ -357,7 +355,14 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
         except ValueError as exc:
             raise DomainError(f"unreadable state file {path}: {exc}") from exc
     try:
-        lo, hi = payload["window"]
+        if not isinstance(payload, dict):
+            raise DomainError("the payload must be a JSON object, got "
+                              f"{type(payload).__name__}")
+        window = payload["window"]
+        if not (isinstance(window, list) and len(window) == 2):
+            raise DomainError(
+                f"window must be [lo, hi], got {json.dumps(window)}")
+        lo, hi = window
         params = LatticeParams(nu=payload["nu"], f=payload["f"],
                                beta=payload["beta"], window=(lo, hi))
         vector = np.zeros(hi - lo + 1, dtype=complex)
@@ -376,12 +381,14 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
             vector[site - lo] = check_real(
                 value, f"coefficient at site {site}")
     except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"state file {path} is not usable: {exc}") from exc
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise DomainError(f"state file {path} is not usable: {reason}"
+                          ) from exc
     return vector, params
 
 
 def _evolve_trace(args: argparse.Namespace):
-    """Pick the evolution mode; returns (trace, spectrum site, x)."""
+    """Pick the evolution mode: (trace, its default spectrum site, x)."""
     if args.initial is not None:
         # the state file fixes the model and the vector; an option it would
         # ignore is refused
@@ -391,19 +398,15 @@ def _evolve_trace(args: argparse.Namespace):
         _refuse(args, unread, "--initial takes the model from the state file")
         vector, params = load_state_vector(args.initial)
         trace = dynamics.evolve(vector, params, args.t_end, args.dt)
-        if args.site is not None:
-            site = args.site
-        else:
-            site = int(params.window[0] + np.argmax(np.abs(vector)))
+        site = int(params.window[0] + np.argmax(np.abs(vector)))
         return trace, site, params.ratio
     if args.set is not None:
         _refuse(args, ("j",), "--j picks the well of the three-state "
                 "superposition, not of --set")
         sset, _, state, _ = _state_at_beta(args)
-        trace = dynamics.evolve(state.coefficients.astype(complex),
-                                state.params, args.t_end, args.dt)
-        site = args.site if args.site is not None else sset.sites[0]
-        return trace, site, state.params.ratio
+        trace = dynamics.evolve(state.coefficients, state.params, args.t_end,
+                                args.dt)
+        return trace, sset.sites[0], state.params.ratio
     # default: three-state superposition around well j
     if args.x is None and (args.nu is None or args.f is None):
         raise DomainError("evolve needs --initial, --set, or --x for the "
@@ -416,8 +419,7 @@ def _evolve_trace(args: argparse.Namespace):
     # params.ratio is 0.05/(0.05/x), which need not be x bit for bit
     x = params.ratio if args.x is None else args.x
     trace = dynamics.beating_trace(j, params, args.t_end, args.dt)
-    site = args.site if args.site is not None else j
-    return trace, site, x
+    return trace, j, x
 
 
 def _evolve_csv(trace: dynamics.DynamicsTrace, stride: int):
@@ -439,12 +441,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.out and json_out == args.out:
         raise DomainError(f"--out {args.out} is also the path of the "
                           "companion JSON; give the CSV another extension")
-    trace, site, x = _evolve_trace(args)
+    trace, default_site, x = _evolve_trace(args)
+    site = default_site if args.site is None else args.site
     peaks = dynamics.spectrum(trace, site)
     predicted = list(dynamics.beat_periods(x)) if x > 1.0 else None
 
     companion = {
-        "site": int(site),
+        "site": site,
         "x": x,
         "predicted_periods": predicted,
         "predicted_frequencies": (

@@ -128,11 +128,17 @@ def _newton(c: np.ndarray, mu: float,
     # a diverging iterate overflows on its way to the non-finite residual
     # that raises SolverError; numpy's warnings would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
-        r = params.residual(c, mu)
-        norm = float(np.max(np.abs(r)))
-        for iteration in range(1, NEWTON_MAX_ITER + 1):
+        for iteration in range(NEWTON_MAX_ITER + 1):
+            r = params.residual(c, mu)
+            norm = float(np.max(np.abs(r)))
             if norm < NEWTON_TOL:
-                return c, mu, norm, iteration - 1
+                return c, mu, norm, iteration
+            if not math.isfinite(norm):
+                raise SolverError(
+                    f"Newton diverged at beta = {params.beta}", residual=norm
+                )
+            if iteration == NEWTON_MAX_ITER:
+                break
             try:
                 step = np.linalg.solve(extended_jacobian(c, mu, params), -r)
             except np.linalg.LinAlgError as exc:
@@ -141,14 +147,6 @@ def _newton(c: np.ndarray, mu: float,
                     residual=norm) from exc
             c += step[:-1]
             mu += step[-1]
-            r = params.residual(c, mu)
-            norm = float(np.max(np.abs(r)))
-            if not math.isfinite(norm):
-                raise SolverError(
-                    f"Newton diverged at beta = {params.beta}", residual=norm
-                )
-    if norm < NEWTON_TOL:
-        return c, mu, norm, NEWTON_MAX_ITER
     raise SolverError(
         f"no convergence in {NEWTON_MAX_ITER} iterations at beta = "
         f"{params.beta} (residual {norm:.3e})",

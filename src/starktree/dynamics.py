@@ -112,16 +112,6 @@ def _band_width(z: float) -> int:
     return b
 
 
-def _diagonals(u: np.ndarray, b: int) -> np.ndarray:
-    """The (2b+1, m) band of the m x m matrix u: [b + k, i] = u[i, i + k],
-    zero where i + k is outside the matrix."""
-    m = u.shape[0]
-    padded = np.zeros((m, m + 2 * b), dtype=complex)
-    padded[:, b:b + m] = u
-    rows = np.arange(m)
-    return padded[rows, rows + np.arange(2 * b + 1)[:, None]]
-
-
 def _propagator(params: LatticeParams, tau: float, b: int) -> np.ndarray:
     """U = exp(i tau H/f) on the window, from one eigh of the block of its
     first m = min(W, 4b+5) sites, with Dirichlet ends.
@@ -147,12 +137,17 @@ def _propagator(params: LatticeParams, tau: float, b: int) -> np.ndarray:
     u = u * np.exp(1j * tau * (mid + params.window[0]))
     if m == width:
         return u
-    # window row l is the block's row l - shift, turned by e^{i tau shift}
+    # window row l is the block's row r = l - shift, turned by e^{i tau shift}:
+    # band[b + k, l] = u[r, r + k], zero off the block, in C order, so that a
+    # stage's product with it runs along whole rows
     rows = np.arange(width)
     shift = np.clip(rows - mid, 0, width - m)
-    # in C order, so that a stage's product with it runs along whole rows
-    return np.multiply(_diagonals(u, b)[:, rows - shift],
-                       np.exp(1j * tau * shift), order="C")
+    padded = np.zeros((m, m + 2 * b), dtype=complex)
+    padded[:, b:b + m] = u
+    r = rows - shift
+    band = padded[r, r + np.arange(2 * b + 1)[:, None]]
+    band *= np.exp(1j * tau * shift)
+    return band
 
 
 def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
@@ -369,9 +364,9 @@ def beating_trace(j: int, params: LatticeParams, t_end,
     underlying integrations.
     """
     first, *others = _well_states(j, params)
-    total = evolve(first.coefficients.astype(complex), params, t_end, dt)
+    total = evolve(first.coefficients, params, t_end, dt)
     for state in others:
-        member = evolve(state.coefficients.astype(complex), params, t_end, dt)
+        member = evolve(state.coefficients, params, t_end, dt)
         np.add(total.states, member.states, out=total.states)
         total = replace(
             total, norm_drift=max(total.norm_drift, member.norm_drift),

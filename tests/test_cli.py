@@ -560,6 +560,30 @@ def test_evolve_initial_file_runs(tmp_path):
     assert companion["peaks"][0][0] == 0.0  # flat density: DC line only
 
 
+# (mode, its default spectrum site, a site to give with --site); --t-end 3.2
+# at the default dt is 1,043 steps, above the spectrum's 1,024 samples
+@pytest.mark.parametrize("mode, default, given", [
+    # the largest |c| of the file, not its lowest occupied site
+    (["--initial", "{state}"], 2, 0),
+    (["--set", "0,1", "--x", "1.5"], 0, 1),  # min(set)
+    (["--x", "1.5", "--j", "2"], 2, 3),  # the well j
+], ids=["initial", "set", "beating"])
+def test_evolve_site_defaults_per_mode_and_is_overridden(tmp_path, mode,
+                                                          default, given):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({
+        "nu": 1.5, "f": 1.0, "beta": 0.0, "window": [-3, 5],
+        "coefficients": {"0": 0.6, "2": 0.8},
+    }))
+    mode = [a.replace("{state}", str(state_path)) for a in mode]
+    out = tmp_path / "evolve.csv"
+    for extra, site in (([], default), (["--site", str(given)], given)):
+        assert run(["evolve", *mode, "--t-end", "3.2", *extra,
+                    "--out", str(out)]) == 0
+        companion = json.loads((tmp_path / "evolve.json").read_text())
+        assert companion["site"] == site
+
+
 @pytest.mark.parametrize("site, value, message", [
     ("9", 0.8, "outside window"),
     ("-2", 0.8, "outside window"),
@@ -583,6 +607,28 @@ def test_evolve_initial_refuses_bad_coefficients(tmp_path, capsys, site,
     }))
     assert run(["evolve", "--initial", str(state_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+GOOD_STATE = {"nu": 2.0, "f": 1.0, "beta": 0.0, "window": [-5, 6],
+              "coefficients": {"0": 1.0}}
+
+
+@pytest.mark.parametrize("payload, message", [
+    # a `continue` output writes beta_target, not beta
+    ({k: v for k, v in GOOD_STATE.items() if k != "beta"},
+     "missing key 'beta'"),
+    ([GOOD_STATE], "the payload must be a JSON object, got list"),
+    ({**GOOD_STATE, "window": [-5, 6, 7]},
+     "window must be [lo, hi], got [-5, 6, 7]"),
+    ({**GOOD_STATE, "window": 5}, "window must be [lo, hi], got 5"),
+], ids=["no_beta", "list", "three_bounds", "scalar"])
+def test_evolve_initial_refuses_a_malformed_payload(tmp_path, capsys, payload,
+                                                    message):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(payload))
+    assert run(["evolve", "--initial", str(state_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: state file {state_path} is not usable: {message}\n")
 
 
 @pytest.mark.parametrize("given, named", [

@@ -265,6 +265,31 @@ def test_newton_nonconvergence_carries_residual(monkeypatch):
     assert err.value.residual is not None
 
 
+def test_newton_singular_jacobian_raises():
+    # at nu = f = 1 the singleton {0} has mu = 1, resonant with the empty
+    # site 1; at beta = 0 that site's Jacobian row is zero while c_1 = 0
+    p = params_for(S0, 1.0)
+    st = build_state(S0, p)
+    c = st.coefficients.copy()
+    lo = p.window[0]
+    c[0 - lo], c[-1 - lo] = 0.9, 0.3
+    c /= np.sqrt(np.sum(c ** 2))
+    assert c[1 - lo] == 0.0 and st.mu == 1.0
+    with pytest.raises(SolverError,
+                       match=r"^singular Jacobian at beta = 0\.0: ") as err:
+        newton_solve(replace(st, coefficients=c, set=None), 0.0)
+    assert err.value.residual > 0
+
+
+def test_newton_divergence_keeps_only_the_start_of_the_path():
+    p = LatticeParams.for_set(S01, nu=1.5, f=1.0)
+    with pytest.raises(SolverError,
+                       match=r"^Newton diverged at beta = 1e\+307$") as err:
+        continue_in_beta(S01, p, 1e307, steps=1)
+    assert len(err.value.path) == 1
+    assert err.value.path[0][0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # continuation
 

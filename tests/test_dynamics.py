@@ -259,7 +259,11 @@ def band_step(c, p, dt):
     b = dynamics._band_width(2.0 * p.beta * abs(w0) * dt / p.f)
     for w in (w1, w0, w1):
         tau = w * dt
-        band = dynamics._diagonals(dynamics._propagator(p, tau, b), b)
+        u = dynamics._propagator(p, tau, b)
+        # band[b + k, l] = u[l, l + k], zero where l + k is off the window
+        band = np.zeros((2 * b + 1, c.size), dtype=complex)
+        for k in range(-b, b + 1):
+            band[b + k, max(-k, 0):c.size - max(k, 0)] = np.diagonal(u, k)
         c = c * np.exp(0.5j * tau * p.nu / p.f * np.abs(c) ** 2)
         padded = np.concatenate([np.zeros(b), c, np.zeros(b)])
         c = sum(band[b + k] * padded[b + k:b + k + c.size]
