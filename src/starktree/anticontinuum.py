@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, InadmissibleSetError,
-                     check_int, check_real)
+                     check_int, check_real, check_signs, check_site)
 from .partitions import (MAX_ENUMERATION, MAX_N, _q_table, counting_function,
                          enumerate_distinct_partitions)
 
@@ -203,11 +203,7 @@ class StationaryState:
     set: SolutionSet | None = None
 
     def coefficient_at(self, site: int) -> float:
-        site = check_int(site, "site")
-        lo, hi = self.params.window
-        if not lo <= site <= hi:
-            raise ConfigurationError(f"site {site} outside window {self.params.window}")
-        return self.coefficients[site - lo]
+        return self.coefficients[check_site(site, self.params.window)]
 
     def norm_sq(self) -> float:
         return float(np.sum(self.coefficients ** 2))
@@ -280,27 +276,6 @@ def consecutive_threshold(n_modes) -> int:
     return n_modes * (n_modes - 1) // 2
 
 
-def _normalize_signs(signs, n: int) -> tuple[int, ...]:
-    """Accept '+-+' strings or +-1 sequences; default all-plus."""
-    if signs is None:
-        return (1,) * n
-    if isinstance(signs, str):
-        if not all(ch in "+-" for ch in signs):
-            raise DomainError(f"sign string may only contain '+'/'-', got {signs!r}")
-        out = tuple(1 if ch == "+" else -1 for ch in signs)
-    else:
-        try:
-            out = tuple(signs)
-        except TypeError:
-            raise DomainError(f"signs must be a '+-' string or +-1 sequence, "
-                              f"got {signs!r}") from None
-        if not all(s in (1, -1) for s in out):
-            raise DomainError(f"signs must be +-1, got {out}")
-    if len(out) != n:
-        raise DomainError(f"expected {n} signs, got {len(out)}")
-    return out
-
-
 def build_state(sset: SolutionSet, params: LatticeParams,
                 signs=None) -> StationaryState:
     """Exact zero-hopping state on the set with the given sign pattern.
@@ -325,7 +300,7 @@ def build_state(sset: SolutionSet, params: LatticeParams,
             f"window {params.window} must pad support {sset.sites} "
             f"by >= {MIN_WINDOW_MARGIN} sites"
         )
-    sign_tuple = _normalize_signs(signs, sset.cardinality)
+    sign_tuple = check_signs(signs, sset.cardinality)
     mu = energy_of_set(sset, params.nu, params.f)
     lo, _ = params.window
     coeff = np.zeros(params.window_size)

@@ -27,7 +27,6 @@ from .anticontinuum import (
     LatticeParams,
     SolutionSet,
     StationaryState,
-    _normalize_signs,
     bifurcation_tree,
     build_state,
 )
@@ -45,6 +44,8 @@ from .errors import (
     SolverError,
     check_int,
     check_real,
+    check_signs,
+    check_site,
 )
 from .partitions import counting_function, f_asymptotic
 
@@ -91,21 +92,21 @@ def _atomic_write(path: str, chunks):
         raise
 
 
-def _emit(out: str | None, chunks):
-    """Write the text chunks to the --out path, or to stdout when there is
-    none.  A whole text is passed as a one-element tuple."""
+def _emit(out: str | None, chunks, stream=None):
+    """Write the text chunks to the --out path, or to `stream`, stdout by
+    default, when there is none.  A whole text is a one-element tuple."""
     if out:
         _atomic_write(out, chunks)
     else:
-        sys.stdout.writelines(chunks)
+        (stream or sys.stdout).writelines(chunks)
 
 
-def _parse_set(text: str) -> tuple[int, ...]:
+def _parse_set(text: str, what="comma-separated integers") -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"must be comma-separated integers, got {text!r}") from None
+            f"must be {what}, got {text!r}") from None
 
 
 def _parse_signs(text: str):
@@ -113,7 +114,8 @@ def _parse_signs(text: str):
     keeps --signs=-1,-1 but drops the value of --signs=--)."""
     if text == "random" or not text.strip("+-"):
         return text
-    return _parse_set(text)
+    return _parse_set(text, "'random', a '+'/'-' string or comma-separated "
+                      "+-1 values")
 
 
 def _refuse(args: argparse.Namespace, names, reason: str):
@@ -137,7 +139,7 @@ def _resolve_signs(args: argparse.Namespace, n: int) -> tuple[int, ...]:
         rng = np.random.default_rng(seed)
         return tuple(int(s) for s in rng.choice((-1, 1), size=n))
     _refuse(args, ("seed",), "--seed is read only with --signs random")
-    return _normalize_signs(None if args.signs == "" else args.signs, n)
+    return check_signs(None if args.signs == "" else args.signs, n)
 
 
 def _lattice_params(args: argparse.Namespace, sset: SolutionSet) -> LatticeParams:
@@ -362,10 +364,9 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
         if not (isinstance(window, list) and len(window) == 2):
             raise DomainError(
                 f"window must be [lo, hi], got {json.dumps(window)}")
-        lo, hi = window
         params = LatticeParams(nu=payload["nu"], f=payload["f"],
-                               beta=payload["beta"], window=(lo, hi))
-        vector = np.zeros(hi - lo + 1, dtype=complex)
+                               beta=payload["beta"], window=tuple(window))
+        vector = np.zeros(params.window_size, dtype=complex)
         coefficients = payload["coefficients"]
         if not isinstance(coefficients, dict):
             raise DomainError("coefficients must be an object keyed by site, "
@@ -376,10 +377,8 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
             if str(site) != key:
                 raise DomainError(
                     f"site key {key!r} is not a canonical integer")
-            if not lo <= site <= hi:
-                raise DomainError(f"site {site} outside window [{lo}, {hi}]")
-            vector[site - lo] = check_real(
-                value, f"coefficient at site {site}")
+            row = check_site(site, params.window)
+            vector[row] = check_real(value, f"coefficient at site {site}")
     except (KeyError, TypeError, ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise DomainError(f"state file {path} is not usable: {reason}"
@@ -462,7 +461,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     json_text = json.dumps(companion, indent=2) + "\n"
 
     _emit(args.out, _evolve_csv(trace, args.stride))
-    _emit(json_out, (json_text,))
+    _emit(json_out, (json_text,), sys.stderr)
     return EXIT_OK
 
 

@@ -19,12 +19,11 @@ from .anticontinuum import (
     LatticeParams,
     SolutionSet,
     StationaryState,
-    _normalize_signs,
     build_state,
     translate_state,
 )
 from .errors import (ConfigurationError, DomainError, IntegrationError,
-                     check_int, check_real)
+                     check_int, check_real, check_signs, check_site)
 
 __all__ = ["BLOCH_PERIOD", "DynamicsTrace", "beat_periods", "beating_profile",
            "beating_trace", "evolve", "spectrum", "superposition_state"]
@@ -67,11 +66,7 @@ class DynamicsTrace:
         return float(self.times[1] - self.times[0])
 
     def site_column(self, site: int) -> np.ndarray:
-        site = check_int(site, "site")
-        lo, hi = self.window
-        if not lo <= site <= hi:
-            raise ConfigurationError(f"site {site} outside window {self.window}")
-        return self.states[:, site - lo]
+        return self.states[:, check_site(site, self.window)]
 
 
 def beat_periods(x) -> tuple[float, float, float]:
@@ -90,7 +85,7 @@ def beating_profile(x, signs, t_prime):
     """
     beat_periods(x)  # refuses all but a finite real x > 1
     x = float(x)
-    s1, s2, s3 = _normalize_signs(signs, 3)
+    s1, s2, s3 = check_signs(signs, 3)
     half_over = 0.5 / x  # f/(2 nu)
     t = np.asarray(t_prime, dtype=float)
     q = (s1 * np.exp(0.5j * x * t)
@@ -339,7 +334,7 @@ def _well_states(j: int, params: LatticeParams) -> list[StationaryState]:
     l; the shifted state still passes the zero-hopping self-check.
     """
     j = check_int(j, "well index")
-    check_real(params.ratio, "nu/f of the three well states", above=1)
+    beat_periods(params.ratio)  # refuses nu/f <= 1
     home = params.shifted(-j)
     return [translate_state(build_state(SolutionSet(s), home), j)
             for s in ((0,), (0, 1), (-1, 0))]

@@ -1,7 +1,7 @@
-"""Exception types shared across the package, plus the integer- and
-real-argument checks, which raise DomainError.
+"""Exception types shared across the package, and the four argument checks
+that state each rule once: check_int, check_real, check_signs, check_site.
 
-The CLI maps these onto its exit codes in `cli.EXIT_CODES`.
+The CLI maps these errors onto its exit codes in `cli.EXIT_CODES`.
 """
 
 import math
@@ -95,3 +95,33 @@ def check_real(value, name: str, above: float | None = None,
         bound = "non-negative" if at_least == 0 else f">= {at_least}"
         raise DomainError(f"{name} must be {bound}, got {number}")
     return number
+
+
+def check_signs(signs, n: int) -> tuple[int, ...]:
+    """`signs` as n ints +-1: a '+-' string, a sequence of integers under
+    check_int's rule (no True, no 1.0), or None for all-plus."""
+    if signs is None:
+        return (1,) * n
+    if isinstance(signs, str):
+        if signs.strip("+-"):
+            raise DomainError(f"sign string may only contain '+'/'-', got {signs!r}")
+        signs = [1 if ch == "+" else -1 for ch in signs]
+    try:
+        out = tuple(check_int(s, "sign") for s in signs)
+    except TypeError:
+        raise DomainError(f"signs must be a '+-' string or +-1 sequence, "
+                          f"got {signs!r}") from None
+    if not all(s in (1, -1) for s in out):
+        raise DomainError(f"signs must be +-1, got {out}")
+    if len(out) != n:
+        raise DomainError(f"expected {n} signs, got {len(out)}")
+    return out
+
+
+def check_site(site, window: tuple[int, int]) -> int:
+    """The row, site - lo, of an integer site in the window (lo, hi)."""
+    site = check_int(site, "site")
+    lo, hi = window
+    if not lo <= site <= hi:
+        raise ConfigurationError(f"site {site} outside window {window}")
+    return site - lo

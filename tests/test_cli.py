@@ -390,6 +390,14 @@ def test_state_sign_pattern_and_seeded_random(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("signs", ["+x", "1,x"])
+def test_unparsable_signs_name_what_signs_takes(capsys, signs):
+    assert run(["state", "--set", "0,1", "--x", "1.5", f"--signs={signs}"]) == 2
+    assert ("argument --signs: must be 'random', a '+'/'-' string or "
+            f"comma-separated +-1 values, got {signs!r}"
+            in capsys.readouterr().err)
+
+
 def test_random_signs_refuse_a_negative_seed(capsys):
     assert run(["state", "--set", "0,1", "--x", "1.5", "--signs=random",
                 "--seed=-1"]) == 2
@@ -497,6 +505,17 @@ def test_evolve_superposition_with_peaks(tmp_path):
     assert len(sites) == 13
 
 
+def test_evolve_without_out_writes_the_csv_to_stdout_and_companion_to_stderr(
+        tmp_path, capsys):
+    argv = ["evolve", "--x", "1.5", "--t-end", "3.2", "--stride", "64"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    out = tmp_path / "evolve.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert captured.out == out.read_bytes().decode("utf-8")
+    assert captured.err == (tmp_path / "evolve.json").read_bytes().decode("utf-8")
+
+
 @pytest.mark.parametrize("j", [10, 100])
 def test_evolve_on_a_distant_well_matches_well_zero(tmp_path, j):
     # two Bloch periods at twice the default dt: integrated at absolute site
@@ -585,8 +604,8 @@ def test_evolve_site_defaults_per_mode_and_is_overridden(tmp_path, mode,
 
 
 @pytest.mark.parametrize("site, value, message", [
-    ("9", 0.8, "outside window"),
-    ("-2", 0.8, "outside window"),
+    ("9", 0.8, "site 9 outside window (0, 5)"),
+    ("-2", 0.8, "site -2 outside window (0, 5)"),
     ("1", math.nan, "finite real number"),  # json writes and reads NaN
     (None, [0.6, 0.8], "keyed by site"),  # a list instead of an object
     # normalized if read as 1, as numpy would store either value

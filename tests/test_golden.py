@@ -33,6 +33,10 @@ stage: rows, t_prime, sites and peak frequencies are the same, abs2
 moved by at most 2.0e-11 in the two beating cases, 4.3e-13 in the other
 zero-hopping cases and 3.2e-14 with hopping, and the beating now lies
 within 2.5e-14 of its closed form over the five Bloch periods of T_END.
+The evolve_nu_f stdout was re-recorded when `evolve` without --out began
+to write its companion JSON to stderr: the new stdout is the old stdout
+with the trailing companion JSON removed, byte for byte, and that JSON is
+exactly what now goes to stderr.
 
 `{out}` in an argv is replaced by a path in a fresh directory; `evolve`
 with `--out X.csv` also writes `X.json`, which is digested as `out.json`.
@@ -179,7 +183,7 @@ GOLDEN = {
     "evolve_nu_f": {
         "rc": 0,
         "stdout":
-            "13c4fc102f92f4bab3738bdb725d72d067e3ee86d639142b111d8a0573d1bb71",
+            "dfce92282137ebc618b8b90fe26a289cd7b5accb2516169390deecddfaeba19a",
     },
     "evolve_set": {
         "rc": 0,

@@ -1,10 +1,15 @@
-"""The one real-number check behind every real-valued argument.
+"""The argument checks of `errors`, each rule stated once.
 
 Each public entry point that takes a real must refuse a string, None, NaN,
 +inf, an integer beyond the double range and the first value outside its
-bound with DomainError, and accept a numpy scalar.
+bound with DomainError, and accept a numpy scalar.  Each that takes a sign
+pattern must refuse booleans and floats, as `check_int` does, and accept
+numpy integers.  The three site lookups refuse a site outside the window
+with one text, and the three entry points of the three-state beating
+refuse nu/f = 1 with one text.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -12,12 +17,15 @@ import numpy as np
 import pytest
 
 from starktree import (
+    ConfigurationError,
     DomainError,
+    DynamicsTrace,
     LatticeParams,
     SolutionSet,
     admissible,
     beat_periods,
     beating_profile,
+    beating_trace,
     bifurcation_tree,
     build_state,
     continue_in_beta,
@@ -29,7 +37,8 @@ from starktree import (
     newton_solve,
     superposition_state,
 )
-from starktree.errors import check_real
+from starktree.cli import load_state_vector
+from starktree.errors import check_real, check_signs
 
 S01 = SolutionSet((0, 1))
 P01 = LatticeParams.for_set(S01, nu=2.0, f=1.0)
@@ -98,3 +107,89 @@ def test_check_real_bounds_and_messages():
     for huge in (10 ** 400, -10 ** 400):
         with pytest.raises(DomainError, match="nu must be a finite real number"):
             check_real(huge, "nu")
+
+
+S012 = SolutionSet((0, 1, 2))
+P012 = LatticeParams.for_set(S012, nu=4.0, f=1.0)
+
+# name -> call with a pattern of three signs
+SIGN_ENTRY_POINTS = {
+    "build_state": lambda signs: build_state(S012, P012, signs=signs),
+    "continue_in_beta": lambda signs: continue_in_beta(S012, P012, 0.0,
+                                                       signs=signs),
+    "beating_profile": lambda signs: beating_profile(1.5, signs, 0.0),
+}
+
+
+@pytest.mark.parametrize("signs, message", [
+    ((True, -1, 1), "sign must be an integer, got True"),
+    ((1.0, -1.0, 1.0), "sign must be an integer, got 1.0"),
+    (np.array([1.0, -1.0, 1.0]),
+     f"sign must be an integer, got {np.float64(1.0)!r}"),
+    ((1, np.True_, -1), f"sign must be an integer, got {np.True_!r}"),
+    ((1, 0, -1), "signs must be +-1, got (1, 0, -1)"),
+    (np.array([1, 2, 1]), "signs must be +-1, got (1, 2, 1)"),
+], ids=["bool", "float", "numpy-float", "numpy-bool", "zero", "numpy-two"])
+@pytest.mark.parametrize("entry", sorted(SIGN_ENTRY_POINTS))
+def test_sign_arguments_are_checked(entry, signs, message):
+    call = SIGN_ENTRY_POINTS[entry]
+    with pytest.raises(DomainError) as err:
+        call(signs)
+    assert str(err.value) == message
+    call(np.array([1, -1, 1]))
+
+
+@pytest.mark.parametrize("signs, message", [
+    ("+x", "sign string may only contain '+'/'-', got '+x'"),
+    (5, "signs must be a '+-' string or +-1 sequence, got 5"),
+    ((), "expected 2 signs, got 0"),
+    ("+-+", "expected 2 signs, got 3"),
+])
+def test_check_signs_messages(signs, message):
+    with pytest.raises(DomainError) as err:
+        check_signs(signs, 2)
+    assert str(err.value) == message
+
+
+def test_numpy_integer_signs_build_the_same_state():
+    signs = check_signs(np.array([1, -1]), 2)
+    assert signs == (1, -1) and all(type(s) is int for s in signs)
+    reference = build_state(S01, P01, signs=(1, -1))
+    state = build_state(S01, P01, signs=np.array([1, -1]))
+    assert state.coefficients.tobytes() == reference.coefficients.tobytes()
+
+
+@pytest.mark.parametrize("site", [-6, 7])
+def test_site_lookups_refuse_one_text(tmp_path, site):
+    window = P01.window
+    message = f"site {site} outside window (-5, 6)"
+    assert window == (-5, 6)
+    trace = DynamicsTrace(times=np.arange(2) * 0.1,
+                          states=np.zeros((2, P01.window_size), dtype=complex),
+                          window=window, norm_drift=0.0, energy_drift=0.0)
+    for lookup in (STATE01.coefficient_at, trace.site_column):
+        with pytest.raises(ConfigurationError) as err:
+            lookup(site)
+        assert str(err.value) == message
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"nu": 2.0, "f": 1.0, "beta": 0.0,
+                                "window": list(window),
+                                "coefficients": {str(site): 1.0}}))
+    with pytest.raises(DomainError) as err:
+        load_state_vector(str(path))
+    assert isinstance(err.value.__cause__, ConfigurationError)
+    assert str(err.value) == f"state file {path} is not usable: {message}"
+
+
+UNIT_RATIO = LatticeParams(nu=1.0, f=1.0, window=(-6, 6))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: superposition_state(0, UNIT_RATIO),
+    lambda: beating_trace(0, UNIT_RATIO, t_end=1.0),
+    lambda: beating_profile(1.0, None, 0.0),
+], ids=["superposition_state", "beating_trace", "beating_profile"])
+def test_three_state_beating_refuses_unit_ratio_with_one_text(call):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == "beating ratio nu/f must be > 1, got 1.0"
