@@ -175,11 +175,6 @@ class LatticeParams:
         lo, hi = self.window
         return replace(self, window=(lo + j, hi + j))
 
-    def covers(self, sset: SolutionSet) -> bool:
-        lo, hi = self.window
-        return (lo <= sset.sites[0] - MIN_WINDOW_MARGIN
-                and hi >= sset.sites[-1] + MIN_WINDOW_MARGIN)
-
     @classmethod
     def for_set(cls, sset: SolutionSet, nu, f, beta=0.0) -> "LatticeParams":
         """Params with the default window: support padded by
@@ -295,14 +290,15 @@ def build_state(sset: SolutionSet, params: LatticeParams,
             f"set {sset.sites} needs nu/f > {threshold}, got nu/f = {x}",
             threshold=threshold,
         )
-    if not params.covers(sset):
+    lo, hi = params.window
+    if not (lo <= sset.sites[0] - MIN_WINDOW_MARGIN
+            and hi >= sset.sites[-1] + MIN_WINDOW_MARGIN):
         raise ConfigurationError(
             f"window {params.window} must pad support {sset.sites} "
             f"by >= {MIN_WINDOW_MARGIN} sites"
         )
     sign_tuple = check_signs(signs, sset.cardinality)
     mu = energy_of_set(sset, params.nu, params.f)
-    lo, _ = params.window
     coeff = np.zeros(params.window_size)
     for s, sgn in zip(sset.sites, sign_tuple):
         coeff[s - lo] = sgn * math.sqrt((mu - params.f * s) / params.nu)

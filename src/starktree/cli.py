@@ -37,7 +37,6 @@ from .continuation import (
     jacobian_diagonal_t0,
 )
 from .errors import (
-    ConfigurationError,
     DomainError,
     IntegrationError,
     ResonanceError,
@@ -55,15 +54,13 @@ EXIT_IO = 3
 EXIT_SOLVER = 4
 EXIT_INTEGRATION = 5
 
-# The exit code of each error main reports as "error: ..."; the first type
-# that matches wins.
+# The exit code of each error main reports as "error: ...": one type per
+# code, no type a kind of another, so at most one matches.
 EXIT_CODES = {
     DomainError: EXIT_INPUT,
-    ConfigurationError: EXIT_INPUT,
-    SolverError: EXIT_SOLVER,
-    ResonanceError: EXIT_SOLVER,
-    IntegrationError: EXIT_INTEGRATION,
     OSError: EXIT_IO,
+    SolverError: EXIT_SOLVER,
+    IntegrationError: EXIT_INTEGRATION,
 }
 
 
@@ -99,6 +96,11 @@ def _emit(out: str | None, chunks, stream=None):
         _atomic_write(out, chunks)
     else:
         (stream or sys.stdout).writelines(chunks)
+
+
+def _emit_json(out: str | None, payload, stream=None):
+    """`_emit` of the text json.dumps(payload, indent=2) plus a newline."""
+    _emit(out, (json.dumps(payload, indent=2) + "\n",), stream)
 
 
 def _parse_set(text: str, what="comma-separated integers") -> tuple[int, ...]:
@@ -309,43 +311,39 @@ def cmd_state(args: argparse.Namespace) -> int:
         "certificate": certificate,
         "residual_norm": float(np.max(np.abs(dnls_residual(state)))),
     }
-    _emit(args.out, (json.dumps(payload, indent=2) + "\n",))
+    _emit_json(args.out, payload)
     return EXIT_OK
 
 
 def cmd_continue(args: argparse.Namespace) -> int:
     sset, params, signs = _resolve_set(args)
+    steps = _steps(args)
     payload = {
         "set": list(sset.sites),
         "signs": list(signs),
         "nu": params.nu,
         "f": params.f,
         "beta_target": args.beta,
-        "steps": _steps(args),
+        "steps": steps,
     }
     try:
-        result = continue_in_beta(sset, params, args.beta,
-                                  steps=_steps(args), signs=signs)
+        result = continue_in_beta(sset, params, args.beta, steps=steps,
+                                  signs=signs)
     except SolverError as exc:
-        payload.update({
-            "status": "failed",
-            "error": str(exc),
-            "path": [[b, r, i] for b, r, i in exc.path],
-        })
-        if args.out:
-            _atomic_write(args.out, (json.dumps(payload, indent=2) + "\n",))
-        print(f"continuation failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        payload.update({"status": "failed", "error": str(exc),
+                        "path": exc.path})
+        _emit_json(args.out, payload)
+        raise  # main reports it and exits 4, once the record is written
     lo, hi = params.window
     payload.update({
         "status": "ok",
         "certificate": result.certificate,
-        "path": [[b, r, i] for b, r, i in result.path],
+        "path": result.path,
         "mu": result.state.mu,
         "window": [lo, hi],
         "coefficients": _coefficients(result.state),
     })
-    _emit(args.out, (json.dumps(payload, indent=2) + "\n",))
+    _emit_json(args.out, payload)
     return EXIT_OK
 
 
@@ -458,10 +456,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         "t_end": float(trace.times[-1]),
         "stride": args.stride,
     }
-    json_text = json.dumps(companion, indent=2) + "\n"
 
     _emit(args.out, _evolve_csv(trace, args.stride))
-    _emit(json_out, (json_text,), sys.stderr)
+    _emit_json(json_out, companion, sys.stderr)
     return EXIT_OK
 
 

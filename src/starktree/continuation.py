@@ -179,8 +179,10 @@ def continue_in_beta(sset: SolutionSet, params: LatticeParams, beta_target,
     """Walk the branch of a set from beta = 0 to beta_target.
 
     Natural-parameter continuation in uniform beta steps, each Newton solve
-    warm-started from the previous state.  The zero-hopping certificate is
-    computed up front and a resonant set is refused before any stepping.
+    warm-started from the previous state; the last step is beta_target
+    itself, so path[-1][0] == state.params.beta == beta_target.  The
+    zero-hopping certificate is computed up front and a resonant set is
+    refused before any stepping, with a ResonanceError and an empty path.
     A failed step raises SolverError carrying the path walked so far.
     """
     beta_target = check_real(beta_target, "beta_target", at_least=0)
@@ -192,8 +194,8 @@ def continue_in_beta(sset: SolutionSet, params: LatticeParams, beta_target,
     if beta_target == 0.0:
         return ContinuationResult(state=state, path=path, certificate=certificate)
     c, mu = state.coefficients, state.mu
-    for k in range(1, steps + 1):
-        beta_k = beta_target * k / steps
+    betas = [beta_target * k / steps for k in range(1, steps)] + [beta_target]
+    for beta_k in betas:
         step_params = replace(params, beta=beta_k)
         try:
             c, mu, norm, iters = _newton(c, mu, step_params)
@@ -201,6 +203,5 @@ def continue_in_beta(sset: SolutionSet, params: LatticeParams, beta_target,
             exc.path = list(path)
             raise
         path.append((beta_k, norm, iters))
-    final = StationaryState(params=replace(params, beta=beta_target),
-                            coefficients=c, mu=mu)
+    final = StationaryState(params=step_params, coefficients=c, mu=mu)
     return ContinuationResult(state=final, path=path, certificate=certificate)

@@ -1,7 +1,10 @@
 """Exception types shared across the package, and the four argument checks
 that state each rule once: check_int, check_real, check_signs, check_site.
 
-The CLI maps these errors onto its exit codes in `cli.EXIT_CODES`.
+One error type per exit code of the CLI, mapped in `cli.EXIT_CODES`:
+DomainError (2; ConfigurationError and InadmissibleSetError are kinds of
+it), OSError (3), SolverError (4; ResonanceError is a kind of it) and
+IntegrationError (5).
 """
 
 import math
@@ -16,7 +19,7 @@ class DomainError(ValueError):
     """Argument outside an operation's mathematical domain."""
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(DomainError):
     """Well-formed input that does not fit the requested computation
     (typically a lattice window too small for the support)."""
 
@@ -33,11 +36,6 @@ class InadmissibleSetError(DomainError):
         self.threshold = threshold
 
 
-class ResonanceError(RuntimeError):
-    """The state energy coincides with a tilt rung on an empty site, so the
-    zero-hopping Jacobian is singular and continuation is refused."""
-
-
 class SolverError(RuntimeError):
     """Newton iteration failed; carries the last residual norm and, for
     continuation runs, the partial path walked so far."""
@@ -46,6 +44,12 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.path = list(path) if path is not None else []
+
+
+class ResonanceError(SolverError):
+    """The state energy coincides with a tilt rung on an empty site, so the
+    zero-hopping Jacobian is singular and continuation is refused before
+    any step: its path is empty."""
 
 
 class IntegrationError(RuntimeError):

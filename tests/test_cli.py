@@ -471,14 +471,59 @@ def test_continue_refuses_runaway_step_count(monkeypatch, capsys):
     assert "steps must be <=" in capsys.readouterr().err
 
 
+NEWTON_FAILURE = ["continue", "--set", "0", "--nu", "0.5", "--f", "1.0",
+                  "--beta", "1e5", "--steps", "1"]
+
+
 def test_continue_failure_writes_partial_path(tmp_path, capsys):
     out = tmp_path / "cont.json"
-    assert run(["continue", "--set", "0", "--nu", "0.5", "--f", "1.0",
-                "--beta", "1e5", "--steps", "1", "--out", str(out)]) == 4
+    assert run([*NEWTON_FAILURE, "--out", str(out)]) == 4
     payload = json.loads(out.read_text())
     assert payload["status"] == "failed"
     assert payload["path"][0][0] == 0.0
     assert payload["signs"] == [1]
+
+
+def test_continue_failure_without_out_writes_the_record_to_stdout(capsys):
+    assert run(NEWTON_FAILURE) == 4
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["status"] == "failed"
+    assert payload["path"][0][0] == 0.0
+    assert captured.err == f"error: {payload['error']}\n"
+
+
+@pytest.mark.parametrize("given", [
+    ["--set", "0", "--x", "1.0", "--beta", "0.01"],
+    [*ZERO_CERTIFICATE, "--beta", "0.001"],
+], ids=["resonant", "zero_certificate"])
+def test_refused_continuation_writes_a_failed_record(tmp_path, capsys, given):
+    # refused before any step, so the record's path is empty
+    out = tmp_path / "cont.json"
+    assert run(["continue", *given, "--out", str(out)]) == 4
+    payload = json.loads(out.read_text())
+    assert (payload["status"], payload["path"]) == ("failed", [])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {payload['error']}\n"
+
+
+@pytest.mark.parametrize("beta, steps", [("0.1", "3"), ("0.02", "29"),
+                                         ("0.013", "5")])
+def test_continue_record_lands_on_beta_target(tmp_path, beta, steps):
+    out = tmp_path / "cont.json"
+    assert run(["continue", "--set", "0,1", "--x", "4.5", "--beta", beta,
+                "--steps", steps, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["path"][-1][0] == payload["beta_target"] == float(beta)
+
+
+def test_exit_codes_map_one_error_type_to_each_code():
+    assert sorted(cli.EXIT_CODES.values()) == [2, 3, 4, 5]
+    # every error of the package is a kind of exactly one of them
+    for name in starktree.errors.__all__:
+        kind = getattr(starktree.errors, name)
+        assert sum(issubclass(kind, key) for key in cli.EXIT_CODES) == 1, name
 
 
 # ---------------------------------------------------------------------------
@@ -928,8 +973,7 @@ def test_diverging_newton_exits_4_without_warnings(tmp_path):
     proc = run_process(["continue", "--set", "0,1", "--x", "1.5", "--beta",
                         "1e307", "--steps", "1"], tmp_path)
     assert proc.returncode == 4
-    assert proc.stderr == ("continuation failed: Newton diverged at "
-                           "beta = 1e+307\n")
+    assert proc.stderr == "error: Newton diverged at beta = 1e+307\n"
 
 
 @pytest.mark.parametrize("command", [

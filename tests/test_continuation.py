@@ -363,8 +363,19 @@ def test_continuation_translation_covariance_at_finite_hopping():
 
 def test_continuation_refuses_resonant_set():
     p = params_for(S0, 1.0)
-    with pytest.raises(ResonanceError):
+    with pytest.raises(ResonanceError) as err:
         continue_in_beta(S0, p, 0.01)
+    assert err.value.path == []
+
+
+# beta * steps / steps is not beta for any of these pairs
+@pytest.mark.parametrize("beta, steps", [(0.1, 3), (0.02, 29), (0.013, 5)])
+def test_continuation_lands_on_its_target(beta, steps):
+    result = continue_in_beta(S01, params_for(S01, 4.5), beta, steps=steps)
+    assert len(result.path) == steps + 1
+    assert result.path[-1][0] == result.state.params.beta == beta
+    assert [b for b, _, _ in result.path[1:-1]] == [beta * k / steps
+                                                    for k in range(1, steps)]
 
 
 def test_continuation_step_count_is_bounded(monkeypatch):

@@ -21,3 +21,10 @@ def test_each_public_name_is_declared_once_by_its_module():
         assert obj is getattr(owners[0], name)
         if hasattr(obj, "__module__"):
             assert obj.__module__ == owners[0].__name__, name
+
+
+def test_each_error_is_a_kind_of_one_exit_code_type():
+    # a resonance is a solver failure (exit 4), a window too small for the
+    # support a domain error (exit 2)
+    assert issubclass(errors.ResonanceError, errors.SolverError)
+    assert issubclass(errors.ConfigurationError, errors.DomainError)
