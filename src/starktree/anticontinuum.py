@@ -86,10 +86,6 @@ class SolutionSet:
     def cardinality(self) -> int:
         return len(self.sites)
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.sites[0] == 0
-
     def translated(self, j: int) -> "SolutionSet":
         return SolutionSet(tuple(s + j for s in self.sites))
 

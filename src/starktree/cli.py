@@ -270,23 +270,45 @@ def _resolve_set(args: argparse.Namespace
     return sset, _lattice_params(args, sset), _resolve_signs(args, sset.cardinality)
 
 
-def _steps(args: argparse.Namespace) -> int:
-    """--steps, DEFAULT_CONTINUATION_STEPS when it is not given."""
-    return DEFAULT_CONTINUATION_STEPS if args.steps is None else args.steps
+def _continued(args: argparse.Namespace, out: str | None, stream=None):
+    """Continue --set to --beta: (set, signs, result, record), the record
+    holding the inputs set, signs, nu, f, beta_target and steps.  On a
+    SolverError the record, with status "failed", the error and the path
+    walked, is written to `out`, or to `stream` without one, and the error
+    goes on to main, which reports it and exits 4."""
+    sset, params, signs = _resolve_set(args)
+    steps = DEFAULT_CONTINUATION_STEPS if args.steps is None else args.steps
+    record = {
+        "set": list(sset.sites),
+        "signs": list(signs),
+        "nu": params.nu,
+        "f": params.f,
+        "beta_target": args.beta,
+        "steps": steps,
+    }
+    try:
+        result = continue_in_beta(sset, params, args.beta, steps=steps,
+                                  signs=signs)
+    except SolverError as exc:
+        record.update({"status": "failed", "error": str(exc),
+                       "path": exc.path})
+        _emit_json(out, record, stream)
+        raise
+    return sset, signs, result, record
 
 
-def _state_at_beta(args: argparse.Namespace):
+def _state_at_beta(args: argparse.Namespace, out: str | None, stream=None):
     """The state of --set at --beta: (set, signs, state, T(0) certificate).
 
-    At beta = 0 the zero-hopping state exists even where its certificate
-    does not, at a resonant mu/f or at mu <= 0, where the rescaling by mu is
-    undefined; the certificate is then None.
+    At --beta > 0 it is continued by `_continued`, which writes its failed
+    record to `out` or `stream`.  At beta = 0 the zero-hopping state exists
+    even where its certificate does not, at a resonant mu/f or at mu <= 0,
+    where the rescaling by mu is undefined; the certificate is then None.
     """
-    sset, params, signs = _resolve_set(args)
     if args.beta > 0:
-        result = continue_in_beta(sset, params, args.beta,
-                                  steps=_steps(args), signs=signs)
+        sset, signs, result, _ = _continued(args, out, stream)
         return sset, signs, result.state, result.certificate
+    sset, params, signs = _resolve_set(args)
     _refuse(args, ("steps",), "--steps is read only at --beta > 0")
     state = build_state(sset, params, signs=signs)
     try:
@@ -297,7 +319,7 @@ def _state_at_beta(args: argparse.Namespace):
 
 
 def cmd_state(args: argparse.Namespace) -> int:
-    sset, signs, state, certificate = _state_at_beta(args)
+    sset, signs, state, certificate = _state_at_beta(args, args.out)
     lo, hi = state.params.window
     payload = {
         "set": list(sset.sites),
@@ -316,34 +338,16 @@ def cmd_state(args: argparse.Namespace) -> int:
 
 
 def cmd_continue(args: argparse.Namespace) -> int:
-    sset, params, signs = _resolve_set(args)
-    steps = _steps(args)
-    payload = {
-        "set": list(sset.sites),
-        "signs": list(signs),
-        "nu": params.nu,
-        "f": params.f,
-        "beta_target": args.beta,
-        "steps": steps,
-    }
-    try:
-        result = continue_in_beta(sset, params, args.beta, steps=steps,
-                                  signs=signs)
-    except SolverError as exc:
-        payload.update({"status": "failed", "error": str(exc),
-                        "path": exc.path})
-        _emit_json(args.out, payload)
-        raise  # main reports it and exits 4, once the record is written
-    lo, hi = params.window
-    payload.update({
+    _, _, result, record = _continued(args, args.out)
+    record.update({
         "status": "ok",
         "certificate": result.certificate,
         "path": result.path,
         "mu": result.state.mu,
-        "window": [lo, hi],
+        "window": list(result.state.params.window),
         "coefficients": _coefficients(result.state),
     })
-    _emit_json(args.out, payload)
+    _emit_json(args.out, record)
     return EXIT_OK
 
 
@@ -384,8 +388,9 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
     return vector, params
 
 
-def _evolve_trace(args: argparse.Namespace):
-    """Pick the evolution mode: (trace, its default spectrum site, x)."""
+def _evolve_trace(args: argparse.Namespace, json_out: str | None):
+    """Pick the evolution mode: (trace, its default spectrum site, x).  A
+    failed continuation of --set writes its record to `json_out` or stderr."""
     if args.initial is not None:
         # the state file fixes the model and the vector; an option it would
         # ignore is refused
@@ -400,7 +405,7 @@ def _evolve_trace(args: argparse.Namespace):
     if args.set is not None:
         _refuse(args, ("j",), "--j picks the well of the three-state "
                 "superposition, not of --set")
-        sset, _, state, _ = _state_at_beta(args)
+        sset, _, state, _ = _state_at_beta(args, json_out, sys.stderr)
         trace = dynamics.evolve(state.coefficients, state.params, args.t_end,
                                 args.dt)
         return trace, sset.sites[0], state.params.ratio
@@ -438,7 +443,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.out and json_out == args.out:
         raise DomainError(f"--out {args.out} is also the path of the "
                           "companion JSON; give the CSV another extension")
-    trace, default_site, x = _evolve_trace(args)
+    trace, default_site, x = _evolve_trace(args, json_out)
     site = default_site if args.site is None else args.site
     peaks = dynamics.spectrum(trace, site)
     predicted = list(dynamics.beat_periods(x)) if x > 1.0 else None

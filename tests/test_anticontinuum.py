@@ -55,8 +55,8 @@ def test_solution_set_sorts_and_validates():
     s = SolutionSet((3, 0, 1))
     assert s.sites == (0, 1, 3)
     assert s.cardinality == 3
-    assert s.is_canonical
-    assert not SolutionSet((2, 5)).is_canonical
+    assert s.sites[0] == 0
+    assert SolutionSet((2, 5)).sites[0] != 0
     assert [type(site) for site in SolutionSet((np.int64(2), 0)).sites] == [
         int, int]
     for sites, message in (
@@ -132,7 +132,7 @@ def test_complementary_set_is_involution_and_translation_invariant():
         comp = complementary_set(s)
         assert 0 in comp
         assert comp.cardinality == s.cardinality
-        if s.is_canonical:
+        if s.sites[0] == 0:
             assert complementary_set(comp) == s
         assert birth_threshold(s) == birth_threshold(s.translated(7))
 
@@ -349,7 +349,7 @@ def test_enumerated_sets_of_the_enum_slice_equal_validated_ones():
 
 def test_enumerate_all_admissible_and_canonical():
     for s in enumerate_solution_sets(9.5):
-        assert s.is_canonical
+        assert s.sites[0] == 0
         assert admissible(s, 9.5)
 
 

@@ -349,7 +349,9 @@ ZERO_CERTIFICATE = ["--set", "0,1", "--x", "1.0000000000000002"]
 def test_zero_certificate_exits_4(capsys, command):
     assert run([*command, *ZERO_CERTIFICATE, "--beta", "0.001"]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    # evolve writes its failed record to stderr ahead of the one error line
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
     assert "Traceback" not in err
 
 
@@ -506,6 +508,51 @@ def test_refused_continuation_writes_a_failed_record(tmp_path, capsys, given):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {payload['error']}\n"
+
+
+# the inputs of a refused and of a failed continuation, and the number of
+# path entries each walks before it stops
+FAILED_CONTINUATIONS = pytest.mark.parametrize("given, walked", [
+    (["--set", "0", "--x", "1.0", "--beta", "0.01"], 0),
+    (NEWTON_FAILURE[1:], 1),
+], ids=["resonant", "newton_failure"])
+
+
+@FAILED_CONTINUATIONS
+@pytest.mark.parametrize("command", ["state", "evolve"])
+def test_failed_state_and_evolve_write_the_continue_record_to_out(
+        tmp_path, capsys, command, given, walked):
+    assert run(["continue", *given, "--out", str(tmp_path / "cont.json")]) == 4
+    expected = (tmp_path / "cont.json").read_text()
+    capsys.readouterr()
+    # evolve writes the record to the companion JSON path, and no CSV
+    out = tmp_path / ("run.csv" if command == "evolve" else "run.json")
+    assert run([command, *given, "--out", str(out)]) == 4
+    assert (tmp_path / "run.json").read_text() == expected
+    assert not (tmp_path / "run.csv").exists()
+    payload = json.loads(expected)
+    assert (payload["status"], len(payload["path"])) == ("failed", walked)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {payload['error']}\n"
+
+
+@FAILED_CONTINUATIONS
+@pytest.mark.parametrize("command", ["state", "evolve"])
+def test_failed_state_and_evolve_without_out_print_the_continue_record(
+        capsys, command, given, walked):
+    assert run(["continue", *given]) == 4
+    expected = capsys.readouterr().out
+    error = f"error: {json.loads(expected)['error']}\n"
+    assert run([command, *given]) == 4
+    captured = capsys.readouterr()
+    # state prints the record on stdout; evolve keeps stdout for the CSV
+    # and puts the record on stderr ahead of the one error line
+    if command == "state":
+        assert (captured.out, captured.err) == (expected, error)
+    else:
+        assert (captured.out, captured.err) == ("", expected + error)
+    assert len(json.loads(expected)["path"]) == walked
 
 
 @pytest.mark.parametrize("beta, steps", [("0.1", "3"), ("0.02", "29"),

@@ -37,6 +37,9 @@ The evolve_nu_f stdout was re-recorded when `evolve` without --out began
 to write its companion JSON to stderr: the new stdout is the old stdout
 with the trailing companion JSON removed, byte for byte, and that JSON is
 exactly what now goes to stderr.
+state_failed and evolve_set_failed were not recorded: their failed record
+must be byte for byte the `out` of continue_failed, the same inputs
+continued the same way, so they carry its digest.
 
 `{out}` in an argv is replaced by a path in a fresh directory; `evolve`
 with `--out X.csv` also writes `X.json`, which is digested as `out.json`.
@@ -86,6 +89,12 @@ CASES = {
                         "--beta", "0.02", "--signs=random", "--seed", "3"],
     "continue_failed": ["continue", "--set=0,1,4,7", "--x", "20.37",
                         "--beta", "0.02", "--steps", "10", "--out", "{out}"],
+    # the failed record of state and evolve --set is the one continue writes
+    "state_failed": ["state", "--set=0,1,4,7", "--x", "20.37", "--beta", "0.02",
+                     "--steps", "10", "--out", "{out}"],
+    "evolve_set_failed": ["evolve", "--set=0,1,4,7", "--x", "20.37",
+                          "--beta", "0.02", "--steps", "10",
+                          "--out", "{out}.csv"],
     "continue_minus_signs": ["continue", "--set=0,1", "--x", "4.5",
                              "--beta", "0.02", "--signs=--", "--out", "{out}"],
     "evolve_beating": ["evolve", "--x", "1.5", *T_END, "--out", "{out}.csv"],
@@ -194,12 +203,26 @@ GOLDEN = {
         "out.json":
             "62b300dfb6e16343a4978399137e5f9f3a2b2128be6abeff7c2cc0a5e0055ae0",
     },
+    "evolve_set_failed": {
+        "rc": 4,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out.json":
+            "1e6e5b0c6bef3012437211d4f4cb01deee049186c541d6911b9b8a0fbef9b8e8",
+    },
     "state_beta": {
         "rc": 0,
         "stdout":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out":
             "5b74a6d82d6b4d68b76a5d6a808fd04ec643ba59c9c53bb2a552588187644b83",
+    },
+    "state_failed": {
+        "rc": 4,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out":
+            "1e6e5b0c6bef3012437211d4f4cb01deee049186c541d6911b9b8a0fbef9b8e8",
     },
     "state_resonant": {
         "rc": 0,
