@@ -196,9 +196,6 @@ class StationaryState:
     def coefficient_at(self, site: int) -> float:
         return self.coefficients[check_site(site, self.params.window)]
 
-    def norm_sq(self) -> float:
-        return float(np.sum(self.coefficients ** 2))
-
 
 @dataclass(frozen=True, slots=True)
 class Branch:
@@ -277,7 +274,8 @@ def build_state(sset: SolutionSet, params: LatticeParams,
 
     Raises InadmissibleSetError below the birth threshold,
     ConfigurationError when the window does not pad the support by at
-    least two sites, and DomainError where round-off breaks those checks.
+    least two sites, and DomainError where round-off breaks those checks
+    or, just above the threshold, makes a squared amplitude negative.
     """
     threshold = birth_threshold(sset)
     x = params.ratio
@@ -293,11 +291,14 @@ def build_state(sset: SolutionSet, params: LatticeParams,
             f"window {params.window} must pad support {sset.sites} "
             f"by >= {MIN_WINDOW_MARGIN} sites"
         )
-    sign_tuple = check_signs(signs, sset.cardinality)
+    sign_array = np.array(check_signs(signs, sset.cardinality))
     mu = energy_of_set(sset, params.nu, params.f)
+    sites = np.array(sset.sites)
     coeff = np.zeros(params.window_size)
-    for s, sgn in zip(sset.sites, sign_tuple):
-        coeff[s - lo] = sgn * math.sqrt((mu - params.f * s) / params.nu)
+    # a squared amplitude rounded below zero gives NaN: the self-check fails
+    with np.errstate(invalid="ignore"):
+        coeff[sites - lo] = sign_array * np.sqrt((mu - params.f * sites)
+                                                 / params.nu)
     return _self_checked(StationaryState(params=params, coefficients=coeff,
                                          mu=mu, set=sset))
 

@@ -75,7 +75,11 @@ def _atomic_write(path: str, chunks):
     `path` keeps its earlier content and the temporary file is removed.
     The file gets the mode open() would give it: mkstemp makes it 0600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:  # name the path asked for, not the random one
+        exc.filename = path
+        raise
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(chunks)
@@ -399,29 +403,26 @@ def _evolve_trace(args: argparse.Namespace, json_out: str | None):
             unread.append("beta")
         _refuse(args, unread, "--initial takes the model from the state file")
         vector, params = load_state_vector(args.initial)
-        trace = dynamics.evolve(vector, params, args.t_end, args.dt)
         site = int(params.window[0] + np.argmax(np.abs(vector)))
-        return trace, site, params.ratio
-    if args.set is not None:
+    elif args.set is not None:
         _refuse(args, ("j",), "--j picks the well of the three-state "
                 "superposition, not of --set")
         sset, _, state, _ = _state_at_beta(args, json_out, sys.stderr)
-        trace = dynamics.evolve(state.coefficients, state.params, args.t_end,
-                                args.dt)
-        return trace, sset.sites[0], state.params.ratio
-    # default: three-state superposition around well j
-    if args.x is None and (args.nu is None or args.f is None):
-        raise DomainError("evolve needs --initial, --set, or --x for the "
-                          "three-state superposition")
-    _refuse(args, ("signs", "seed", "steps"), "the three-state superposition "
-            "sums the all-plus zero-hopping states")
-    j = 0 if args.j is None else args.j
-    # the default window pads the three sites j-1, j, j+1 the states occupy
-    params = _lattice_params(args, SolutionSet((j - 1, j, j + 1)))
-    # params.ratio is 0.05/(0.05/x), which need not be x bit for bit
-    x = params.ratio if args.x is None else args.x
-    trace = dynamics.beating_trace(j, params, args.t_end, args.dt)
-    return trace, j, x
+        vector, params, site = state.coefficients, state.params, sset.sites[0]
+    else:  # three-state superposition around well j
+        if args.x is None and (args.nu is None or args.f is None):
+            raise DomainError("evolve needs --initial, --set, or --x for the "
+                              "three-state superposition")
+        _refuse(args, ("signs", "seed", "steps"), "the three-state "
+                "superposition sums the all-plus zero-hopping states")
+        j = 0 if args.j is None else args.j
+        # the default window pads the three sites j-1, j, j+1 the states occupy
+        params = _lattice_params(args, SolutionSet((j - 1, j, j + 1)))
+        # params.ratio is 0.05/(0.05/x), which need not be x bit for bit
+        x = params.ratio if args.x is None else args.x
+        return dynamics.beating_trace(j, params, args.t_end, args.dt), j, x
+    trace = dynamics.evolve(vector, params, args.t_end, args.dt)
+    return trace, site, params.ratio
 
 
 def _evolve_csv(trace: dynamics.DynamicsTrace, stride: int):

@@ -159,18 +159,17 @@ def newton_solve(guess: StationaryState, beta) -> StationaryState:
     the guess's own model and window.
 
     mu is an unknown alongside the coefficients.  An already-converged
-    guess is returned unchanged; otherwise the result loses its exact
-    support (set becomes None).
+    guess comes back as a copy at beta; otherwise the result loses its
+    exact support (set becomes None).
     """
     params = replace(guess.params, beta=beta)
     # written so that a NaN coefficient fails the check too
-    if not abs(guess.norm_sq() - 1.0) <= 1e-6:
+    if not abs(np.sum(guess.coefficients ** 2) - 1.0) <= 1e-6:
         raise DomainError("Newton guess must be normalized")
+    # at zero iterations c is a copy of the guess and mu is the guess's mu
     c, mu, _, iters = _newton(guess.coefficients, guess.mu, params)
-    if iters == 0:
-        return replace(guess, params=params,
-                       coefficients=guess.coefficients.copy())
-    return StationaryState(params=params, coefficients=c, mu=mu)
+    return StationaryState(params=params, coefficients=c, mu=mu,
+                           set=guess.set if iters == 0 else None)
 
 
 def continue_in_beta(sset: SolutionSet, params: LatticeParams, beta_target,

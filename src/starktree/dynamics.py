@@ -401,12 +401,9 @@ def spectrum(trace: DynamicsTrace, site: int) -> list[tuple[float, float]]:
     power[0] = (mean * float(window.sum())) ** 2
     freqs = 2.0 * math.pi * np.fft.rfftfreq(n, d=trace.dt)
 
-    left = np.empty_like(power)
-    right = np.empty_like(power)
-    left[0], left[1:] = -np.inf, power[:-1]
-    right[-1], right[:-1] = -np.inf, power[1:]
-    is_max = (power > left) & (power > right)
-    maxima = np.flatnonzero(is_max)
+    # a bin is a maximum above both neighbours; the two end bins have one
+    padded = np.pad(power, 1, constant_values=-np.inf)
+    maxima = np.flatnonzero((power > padded[:-2]) & (power > padded[2:]))
     # gate at double-precision noise relative to the strongest line, so a
     # numerically constant signal yields only its zero-frequency peak
     noise_gate = 1e-24 * float(power.max())

@@ -37,13 +37,13 @@ class InadmissibleSetError(DomainError):
 
 
 class SolverError(RuntimeError):
-    """Newton iteration failed; carries the last residual norm and, for
-    continuation runs, the partial path walked so far."""
+    """Newton iteration failed; carries the last residual norm and the
+    path walked so far, empty unless `continue_in_beta` sets it."""
 
-    def __init__(self, message, residual=None, path=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.path = list(path) if path is not None else []
+        self.path = []
 
 
 class ResonanceError(SolverError):

@@ -220,7 +220,7 @@ def test_build_normalization_and_residual_everywhere():
         s = sets[rng.integers(len(sets))]
         p = LatticeParams.for_set(s, nu=x * 0.7, f=0.7)
         st = build_state(s, p)
-        assert abs(st.norm_sq() - 1.0) < 1e-12
+        assert abs(np.sum(st.coefficients ** 2) - 1.0) < 1e-12
         assert np.max(np.abs(dnls_residual(st))) < 1e-12
 
 
@@ -298,6 +298,19 @@ def test_translate_moves_the_window_with_a_continued_state():
     assert np.array_equal(shifted.coefficients, st.coefficients)
     assert shifted.mu == st.mu + 5.0
     assert shifted.set is None
+
+
+# one ulp above the threshold x = nu/f, (mu - f l)/nu of the top site
+# rounds below zero at these f, though not at f = 1
+@pytest.mark.parametrize("sites, f", [((0, 7, 8, 9), 0.7), ((0, 5, 9), 1.3),
+                                      ((0, 4, 5, 6, 7), 0.3)])
+def test_build_just_above_the_threshold_beyond_double_precision(sites, f):
+    s = SolutionSet(sites)
+    x = math.nextafter(float(anticontinuum.birth_threshold(s)), math.inf)
+    p = LatticeParams.for_set(s, nu=x * f, f=f)
+    assert p.ratio > anticontinuum.birth_threshold(s)
+    with pytest.raises(DomainError, match="beyond double precision"):
+        build_state(s, p)
 
 
 def test_translate_beyond_double_precision_raises():

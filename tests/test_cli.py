@@ -124,6 +124,10 @@ def test_tree_17_digit_round_trip(tmp_path):
 def test_tree_unwritable_path_is_io_error(capsys):
     assert run(["tree", "--x-min", "0", "--x-max", "2",
                 "--out", "/nonexistent-dir/tree.csv"]) == 3
+    # the message names the --out path, not the temporary file next to it
+    err = capsys.readouterr().err
+    assert "'/nonexistent-dir/tree.csv'" in err
+    assert ".tmp-" not in err
 
 
 def test_tree_invalid_range(capsys):
@@ -406,15 +410,26 @@ def test_random_signs_refuse_a_negative_seed(capsys):
     assert "--seed must be >= 0" in capsys.readouterr().err
 
 
+# one ulp above the threshold 12 of {0, 7, 8, 9}, the top site's squared
+# amplitude rounds below zero at f = 0.7
+THRESHOLD_EDGE = ["--set=0,7,8,9", "--x", "12.000000000000002", "--f", "0.7"]
+
+
 @pytest.mark.parametrize("argv", [
     ["state", "--set", "10000000,10000001", "--x", "1.5"],
     ["state", "--set", "0,1", "--x", "1e9"],
     ["evolve", "--x", "1.5", "--j", "10000000"],
+    ["state", *THRESHOLD_EDGE],
+    ["continue", *THRESHOLD_EDGE, "--beta", "0.01"],
+    ["evolve", *THRESHOLD_EDGE, "--beta", "0.01", "--t-end", "1"],
 ])
 def test_states_beyond_double_precision_exit_2(capsys, argv):
-    # |mu| of 1e7 to 1e9: round-off alone breaks the 1e-12 self-check
+    # |mu| of 1e7 to 1e9: round-off alone breaks the 1e-12 self-check; at
+    # THRESHOLD_EDGE it makes an amplitude NaN
     assert run(argv) == 2
-    assert "beyond double precision" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "beyond double precision" in err
 
 
 def test_signs_are_written_after_continuation(tmp_path):

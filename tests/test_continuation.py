@@ -215,6 +215,7 @@ def test_newton_exact_guess_returns_unchanged():
     out = newton_solve(st, p.beta)
     assert out.set == S01  # zero iterations keep the exact-support tag
     assert np.array_equal(out.coefficients, st.coefficients)
+    assert not np.shares_memory(out.coefficients, st.coefficients)
     assert out.mu == st.mu
 
 

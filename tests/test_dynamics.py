@@ -526,6 +526,20 @@ def test_spectrum_constant_trace_single_dc_peak():
     assert peaks[0][0] == 0.0
 
 
+def test_spectrum_peaks_at_both_array_ends():
+    # |c|^2 = 0.5 + 0.25 (-1)^k: the DC line and the last rfft bin, pi/dt,
+    # are maxima with one neighbour each
+    dt = 0.01
+    k = np.arange(2048)
+    trace = trace_from_series(k * dt, np.sqrt(0.5 + 0.25 * (-1.0) ** k))
+    peaks = spectrum(trace, 0)
+    assert [f for f, _ in peaks] == [
+        0.0, 2.0 * math.pi * np.fft.rfftfreq(k.size, d=dt)[-1]]
+    assert peaks[1][0] == pytest.approx(math.pi / dt, rel=1e-15)
+    assert [p for _, p in peaks] == pytest.approx([262144.0, 65536.0],
+                                                  rel=1e-9)
+
+
 def test_spectrum_short_trace_rejected():
     times = np.arange(512) * 0.01
     trace = trace_from_series(times, np.exp(1j * times))
