@@ -73,8 +73,13 @@ def _atomic_write(path: str, chunks):
     """Write the text chunks, each as it is made, to a temporary file next to
     `path`, then rename it into place.  If making or writing a chunk fails,
     `path` keeps its earlier content and the temporary file is removed.
-    The file gets the mode open() would give it: mkstemp makes it 0600."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    The file gets the mode open() would give it: mkstemp makes it 0600.
+    A symlink is followed, so its target is replaced and the link kept; a
+    target that exists but is not a regular file is refused untouched."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise OSError(f"not a regular file: {path!r}")
+    directory = os.path.dirname(target)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     except OSError as exc:  # name the path asked for, not the random one
@@ -86,7 +91,7 @@ def _atomic_write(path: str, chunks):
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -307,7 +312,8 @@ def _state_at_beta(args: argparse.Namespace, out: str | None, stream=None):
     At --beta > 0 it is continued by `_continued`, which writes its failed
     record to `out` or `stream`.  At beta = 0 the zero-hopping state exists
     even where its certificate does not, at a resonant mu/f or at mu <= 0,
-    where the rescaling by mu is undefined; the certificate is then None.
+    where the rescaling by mu is undefined, or beyond double precision at a
+    tiny mu/f; the certificate is then None.
     """
     if args.beta > 0:
         sset, signs, result, _ = _continued(args, out, stream)

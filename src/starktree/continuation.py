@@ -93,7 +93,8 @@ def jacobian_diagonal_t0(state: StationaryState) -> tuple[np.ndarray, float]:
     Raises ResonanceError when an empty window site is within
     RESONANCE_TOL of mu/f or min |T_l| rounds to zero (the certificate
     would be zero and continuation has no smooth branch to follow), and
-    DomainError when mu <= 0, where the rescaling by mu is undefined.
+    DomainError when mu <= 0, where the rescaling by mu is undefined, or
+    when mu/f is so small that T_l is not a finite double.
     """
     if state.set is None:
         raise ConfigurationError(
@@ -110,7 +111,12 @@ def jacobian_diagonal_t0(state: StationaryState) -> tuple[np.ndarray, float]:
             )
     # hopping and tilt in units of mu, amplitudes rescaled by sqrt(nu/mu)
     c_scaled = np.sqrt(p.nu / mu) * state.coefficients
-    t_diag = p.f / mu * sites - 1.0 + 3.0 * c_scaled ** 2
+    # at a tiny mu/f, f/mu times a site overflows, or times site 0 is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_diag = p.f / mu * sites - 1.0 + 3.0 * c_scaled ** 2
+    if not np.all(np.isfinite(t_diag)):
+        raise DomainError(f"zero-hopping certificate at mu/f = {mu_over_f} "
+                          "is beyond double precision")
     certificate = float(np.min(np.abs(t_diag)))
     if not certificate > 0:
         raise ResonanceError(

@@ -48,6 +48,7 @@ MAX_TRACE_BYTES = 1 << 30
 class DynamicsTrace:
     """Uniformly sampled complex coefficient history with its quality ledger.
 
+    Row k of states is the sample at t' = k dt, the times property.
     norm_drift is max |sum |c|^2 - 1| over the trace; energy_drift is the
     max drift of the conserved energy functional, its tilt taken relative to
     the window's middle site as in the integration, divided by the sum of
@@ -55,15 +56,15 @@ class DynamicsTrace:
     nonlinear term is at least nu/2W), while the energy itself can.
     """
 
-    times: np.ndarray = field(repr=False)
+    dt: float
     states: np.ndarray = field(repr=False)
     window: tuple[int, int]
     norm_drift: float
     energy_drift: float
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+    def times(self) -> np.ndarray:
+        return np.arange(self.states.shape[0]) * self.dt
 
     def site_column(self, site: int) -> np.ndarray:
         return self.states[:, check_site(site, self.window)]
@@ -291,9 +292,9 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
         raise DomainError("initial vector must be normalized")
     n_steps = t_end / dt
     # round() raises on an infinite ratio; one from the cap on is refused
-    # below unrounded
+    # below unrounded.  dt <= t_end keeps the ratio, so its round, at 1 or more
     if n_steps < MAX_TRACE_BYTES:
-        n_steps = max(1, round(n_steps))
+        n_steps = round(n_steps)
     if (n_steps + 1) * c0.size * 16 > MAX_TRACE_BYTES:
         raise DomainError(
             f"a trace of {n_steps + 1:.6g} samples of {c0.size} complex values "
@@ -309,7 +310,6 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
 
     l0 = sum(params.window) // 2
     frame = params.shifted(-l0)
-    times = np.arange(n_steps + 1) * dt
     states = _split_steps(c0, frame, dt, n_steps)
     # the ledger reads |c_l|^2 and conj(c_l) c_{l+1}, which the turn-back
     # by e^{i l0 t'} below leaves as they are, so it runs in the frame
@@ -319,9 +319,10 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
             f"norm drifted by {norm_drift:.3e} and energy by "
             f"{energy_drift:.3e} (limit {DRIFT_LIMIT}); reduce dt below {dt}"
         )
-    states *= np.exp(1j * l0 * times)[:, None]
-    return DynamicsTrace(times=times, states=states, window=params.window,
-                         norm_drift=norm_drift, energy_drift=energy_drift)
+    trace = DynamicsTrace(dt=dt, states=states, window=params.window,
+                          norm_drift=norm_drift, energy_drift=energy_drift)
+    states *= np.exp(1j * l0 * trace.times)[:, None]
+    return trace
 
 
 def _well_states(j: int, params: LatticeParams) -> list[StationaryState]:
@@ -390,9 +391,6 @@ def spectrum(trace: DynamicsTrace, site: int) -> list[tuple[float, float]]:
         raise DomainError(
             f"trace has {n} samples; spectrum needs >= {MIN_SPECTRUM_SAMPLES}"
         )
-    steps = np.diff(trace.times)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise DomainError("spectrum needs a uniformly sampled trace")
     window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
     # Detrend before windowing so the DC skirt cannot shadow slow beats;
     # the zero-frequency line is restored from the mean itself.

@@ -271,21 +271,48 @@ def test_out_file_gets_the_mode_open_gives(tmp_path):
     assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    real = tmp_path / "data" / "real.json"
+    real.parent.mkdir()
+    real.write_text("earlier\n", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert run(["state", "--set", "0,1", "--x", "1.5",
+                "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == real
+    assert json.loads(real.read_text())["set"] == [0, 1]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "data", "link.json", "real.json"]
+
+
+@pytest.mark.parametrize("make, kind", [(os.mkfifo, stat.S_ISFIFO),
+                                        (os.mkdir, stat.S_ISDIR)])
+def test_out_refuses_a_target_that_is_not_a_regular_file(tmp_path, capsys,
+                                                         make, kind):
+    out = tmp_path / "out.json"
+    make(out)
+    assert run(["state", "--set", "0,1", "--x", "1.5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: not a regular file: {str(out)!r}\n"
+    assert kind(os.lstat(out).st_mode)
+    assert [p.name for p in tmp_path.rglob("*")] == ["out.json"]
+
+
 @pytest.mark.parametrize("n_times, stride", [(7, 1), (7, 3), (9, 4), (2, 5)])
 def test_streamed_evolve_csv_matches_csv_writer(n_times, stride):
     rng = np.random.default_rng(n_times + stride)
     sites = np.arange(-2, 3)
     states = (rng.normal(size=(n_times, sites.size))
               + 1j * rng.normal(size=(n_times, sites.size)))
-    trace = DynamicsTrace(times=np.arange(n_times) * 0.1, states=states,
-                          window=(-2, 2), norm_drift=0.0, energy_drift=0.0)
+    trace = DynamicsTrace(dt=0.1, states=states, window=(-2, 2),
+                          norm_drift=0.0, energy_drift=0.0)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["t_prime", "site", "abs2"])
     abs2 = np.abs(states) ** 2
     for k in range(0, n_times, stride):
         for col, site in enumerate(sites):
-            writer.writerow([fmt(trace.times[k]), int(site), fmt(abs2[k, col])])
+            writer.writerow([fmt(k * 0.1), int(site), fmt(abs2[k, col])])
     assert "".join(cli._evolve_csv(trace, stride)) == buffer.getvalue()
 
 
@@ -365,11 +392,20 @@ def test_state_of_a_zero_certificate_writes_null(tmp_path):
     assert json.loads(out.read_text())["certificate"] is None
 
 
-# energies mu <= 0, where the certificate's rescaling by mu is undefined
-@pytest.mark.parametrize("given, mu", [(["--set=-5", "--x", "1"], -4.0),
-                                       (["--set=-3,-2", "--x", "4"], -0.5)])
+# energies mu <= 0, where the certificate's rescaling by mu is undefined,
+# and energies so small that the rescaled T_l overflow
+@pytest.mark.parametrize("given, mu, refusal", [
+    (["--set=-5", "--x", "1"], -4.0,
+     "base energy mu must be positive, got -4.0"),
+    (["--set=-3,-2", "--x", "4"], -0.5,
+     "base energy mu must be positive, got -0.5"),
+    (["--set=0", "--x", "1e-320"], 1e-320,
+     "zero-hopping certificate at mu/f = 1e-320 is beyond double precision"),
+    (["--set=0", "--x", "1.5e-308"], 1.5e-308,
+     "zero-hopping certificate at mu/f = 1.5e-308 is beyond double precision"),
+])
 def test_state_of_a_non_positive_energy_writes_null(tmp_path, capsys, given,
-                                                    mu):
+                                                    mu, refusal):
     out = tmp_path / "state.json"
     assert run(["state", *given, "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
@@ -378,8 +414,7 @@ def test_state_of_a_non_positive_energy_writes_null(tmp_path, capsys, given,
     assert payload["residual_norm"] < 1e-12
     # continuation needs the certificate, so it still refuses the set
     assert run(["continue", *given]) == 2
-    assert (capsys.readouterr().err
-            == f"error: base energy mu must be positive, got {mu}\n")
+    assert capsys.readouterr().err == f"error: {refusal}\n"
 
 
 def test_state_sign_pattern_and_seeded_random(tmp_path):
@@ -413,6 +448,7 @@ def test_random_signs_refuse_a_negative_seed(capsys):
 # one ulp above the threshold 12 of {0, 7, 8, 9}, the top site's squared
 # amplitude rounds below zero at f = 0.7
 THRESHOLD_EDGE = ["--set=0,7,8,9", "--x", "12.000000000000002", "--f", "0.7"]
+TINY_RATIO = ["--set", "0", "--x", "1e-320"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -422,6 +458,10 @@ THRESHOLD_EDGE = ["--set=0,7,8,9", "--x", "12.000000000000002", "--f", "0.7"]
     ["state", *THRESHOLD_EDGE],
     ["continue", *THRESHOLD_EDGE, "--beta", "0.01"],
     ["evolve", *THRESHOLD_EDGE, "--beta", "0.01", "--t-end", "1"],
+    # f/mu overflows in the rescaled T(0) certificate
+    ["continue", *TINY_RATIO, "--beta", "0.01"],
+    ["evolve", *TINY_RATIO, "--beta", "0.01", "--t-end", "1"],
+    ["continue", "--set", "0", "--x", "1.5e-308", "--beta", "0.01"],
 ])
 def test_states_beyond_double_precision_exit_2(capsys, argv):
     # |mu| of 1e7 to 1e9: round-off alone breaks the 1e-12 self-check; at

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,17 @@ def test_t0_requires_positive_energy():
     assert st.mu == -4.0
     with pytest.raises(DomainError):
         jacobian_diagonal_t0(st)
+
+
+@pytest.mark.parametrize("x", [1e-320, 1.5e-308])
+def test_t0_refuses_a_ratio_beyond_double_precision(x):
+    # f/mu at mu/f = x overflows: T_l would be inf, or NaN on site 0, and
+    # numpy's warning would only repeat the refusal
+    st = build_state(S0, params_for(S0, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="beyond double precision"):
+            jacobian_diagonal_t0(st)
 
 
 def test_t0_requires_exact_support():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -34,12 +35,12 @@ def beating_params(x, nu=0.05, beta=0.0):
     return LatticeParams(nu=nu, f=nu / x, beta=beta, window=WINDOW)
 
 
-def trace_from_series(times, values):
-    """Wrap a scalar complex series as a one-site trace for spectrum tests."""
+def trace_from_series(dt, values):
+    """Wrap a scalar complex series sampled every dt as a one-site trace for
+    spectrum tests."""
     states = np.asarray(values, dtype=complex).reshape(-1, 1)
     norms = np.abs(states[:, 0]) ** 2
-    return DynamicsTrace(times=np.asarray(times, dtype=float), states=states,
-                         window=(0, 0),
+    return DynamicsTrace(dt=dt, states=states, window=(0, 0),
                          norm_drift=float(np.max(np.abs(norms - 1.0))),
                          energy_drift=0.0)
 
@@ -132,6 +133,22 @@ def test_single_site_phase_rotation():
     assert np.max(np.abs(np.abs(column) - 1.0)) < 1e-12
     expected = np.exp(1j * (p.nu + 2.0 * p.f) / p.f * trace.times)
     assert np.max(np.abs(column / column[0] - expected)) < 1e-9
+
+
+@pytest.mark.parametrize("t_end, dt, n_steps", [(3.0, 1e-3, 3000),
+                                                (1e-3, 1e-3, 1),
+                                                (1.4e-3, 1e-3, 1)])
+def test_trace_times_are_its_step_grid(t_end, dt, n_steps):
+    # the trace keeps dt, not an array of times; a t_end of one step or a
+    # little more still makes one step
+    p = LatticeParams(nu=0.8, f=1.0, beta=0.1, window=(-2, 6))
+    initial = np.zeros(p.window_size, dtype=complex)
+    initial[2 - p.window[0]] = 1.0
+    trace = evolve(initial, p, t_end=t_end, dt=dt)
+    assert "times" not in {f.name for f in dataclasses.fields(trace)}
+    assert trace.dt == dt
+    assert trace.states.shape[0] == n_steps + 1
+    np.testing.assert_array_equal(trace.times, np.arange(n_steps + 1) * dt)
 
 
 def test_nonlinear_frequency_shift_on_home_site():
@@ -395,7 +412,7 @@ def test_zero_hopping_evolve_allocates_only_its_trace():
     finally:
         tracemalloc.stop()
     assert trace.times.size == 2049
-    assert peak - trace.states.nbytes - trace.times.nbytes < 1 << 20
+    assert peak - trace.states.nbytes < 1 << 20
 
 
 def test_evolve_flags_an_unresolved_step():
@@ -439,7 +456,7 @@ def test_wide_window_step_stays_banded():
     finally:
         tracemalloc.stop()
     assert trace.times.size == 9
-    assert peak - trace.states.nbytes - trace.times.nbytes < 32 << 20
+    assert peak - trace.states.nbytes < 32 << 20
 
 
 def test_evolve_refuses_oversized_trace_before_allocating():
@@ -510,7 +527,7 @@ def test_spectrum_of_analytic_beating_profile_one_bin():
         dt = BLOCH_PERIOD / 512.0
         t_end = 40.0 * BLOCH_PERIOD
         times = np.arange(0.0, t_end + dt / 2, dt)
-        trace = trace_from_series(times, beating_profile(x, "+++", times))
+        trace = trace_from_series(dt, beating_profile(x, "+++", times))
         peaks = spectrum(trace, 0)
         bin_width = 2.0 * math.pi / (times.size * dt)
         freqs = [f for f, _ in peaks]
@@ -520,7 +537,7 @@ def test_spectrum_of_analytic_beating_profile_one_bin():
 
 def test_spectrum_constant_trace_single_dc_peak():
     times = np.arange(2048) * 0.01
-    trace = trace_from_series(times, np.full(times.size, 0.8 + 0.0j))
+    trace = trace_from_series(0.01, np.full(times.size, 0.8 + 0.0j))
     peaks = spectrum(trace, 0)
     assert len(peaks) == 1
     assert peaks[0][0] == 0.0
@@ -531,7 +548,7 @@ def test_spectrum_peaks_at_both_array_ends():
     # are maxima with one neighbour each
     dt = 0.01
     k = np.arange(2048)
-    trace = trace_from_series(k * dt, np.sqrt(0.5 + 0.25 * (-1.0) ** k))
+    trace = trace_from_series(dt, np.sqrt(0.5 + 0.25 * (-1.0) ** k))
     peaks = spectrum(trace, 0)
     assert [f for f, _ in peaks] == [
         0.0, 2.0 * math.pi * np.fft.rfftfreq(k.size, d=dt)[-1]]
@@ -542,7 +559,7 @@ def test_spectrum_peaks_at_both_array_ends():
 
 def test_spectrum_short_trace_rejected():
     times = np.arange(512) * 0.01
-    trace = trace_from_series(times, np.exp(1j * times))
+    trace = trace_from_series(0.01, np.exp(1j * times))
     with pytest.raises(DomainError):
         spectrum(trace, 0)
 
@@ -552,20 +569,12 @@ def test_spectrum_short_trace_rejected():
 def test_site_must_be_an_integer(read, site):
     p = beating_params(1.5)
     state = build_state(SolutionSet((0, 1)), p)
-    trace = trace_from_series(np.arange(2048) * 0.01, np.ones(2048))
+    trace = trace_from_series(0.01, np.ones(2048))
     call = {"coefficient_at": state.coefficient_at,
             "site_column": trace.site_column,
             "spectrum": lambda s: spectrum(trace, s)}[read]
     with pytest.raises(DomainError, match="site must be an integer"):
         call(site)
-
-
-def test_spectrum_nonuniform_trace_rejected():
-    times = np.arange(2048) * 0.01
-    times[1024:] += 0.005
-    trace = trace_from_series(times, np.exp(1j * times))
-    with pytest.raises(DomainError, match="uniformly sampled"):
-        spectrum(trace, 0)
 
 
 def test_beating_trace_around_other_wells():
@@ -620,7 +629,7 @@ def test_beating_trace_sums_its_members_in_place():
     assert trace.norm_drift == max(m.norm_drift for m in members)
     assert trace.energy_drift == max(m.energy_drift for m in members)
     # the running sum and one member: a third trace would add 8.5 MB
-    extra = peak - 2 * trace.states.nbytes - trace.times.nbytes
+    extra = peak - 2 * trace.states.nbytes
     assert extra < 4 << 20
 
 

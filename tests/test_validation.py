@@ -164,7 +164,7 @@ def test_site_lookups_refuse_one_text(tmp_path, site):
     window = P01.window
     message = f"site {site} outside window (-5, 6)"
     assert window == (-5, 6)
-    trace = DynamicsTrace(times=np.arange(2) * 0.1,
+    trace = DynamicsTrace(dt=0.1,
                           states=np.zeros((2, P01.window_size), dtype=complex),
                           window=window, norm_drift=0.0, energy_drift=0.0)
     for lookup in (STATE01.coefficient_at, trace.site_column):
