@@ -69,6 +69,15 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _writable_target(path: str) -> str:
+    """The real path of `path`, refused if it exists but is not a regular
+    file, as a directory or the empty path (the working directory) is."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise OSError(f"not a regular file: {path!r}")
+    return target
+
+
 def _atomic_write(path: str, chunks):
     """Write the text chunks, each as it is made, to a temporary file next to
     `path`, then rename it into place.  If making or writing a chunk fails,
@@ -76,9 +85,7 @@ def _atomic_write(path: str, chunks):
     The file gets the mode open() would give it: mkstemp makes it 0600.
     A symlink is followed, so its target is replaced and the link kept; a
     target that exists but is not a regular file is refused untouched."""
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        raise OSError(f"not a regular file: {path!r}")
+    target = _writable_target(path)
     directory = os.path.dirname(target)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
@@ -101,7 +108,7 @@ def _atomic_write(path: str, chunks):
 def _emit(out: str | None, chunks, stream=None):
     """Write the text chunks to the --out path, or to `stream`, stdout by
     default, when there is none.  A whole text is a one-element tuple."""
-    if out:
+    if out is not None:
         _atomic_write(out, chunks)
     else:
         (stream or sys.stdout).writelines(chunks)
@@ -446,10 +453,15 @@ def _evolve_csv(trace: dynamics.DynamicsTrace, stride: int):
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     check_int(args.stride, "--stride", 1)
-    json_out = os.path.splitext(args.out)[0] + ".json" if args.out else None
-    if args.out and json_out == args.out:
-        raise DomainError(f"--out {args.out} is also the path of the "
-                          "companion JSON; give the CSV another extension")
+    json_out = None
+    if args.out is not None:
+        json_out = os.path.splitext(args.out)[0] + ".json"
+        if json_out == args.out:
+            raise DomainError(f"--out {args.out} is also the path of the "
+                              "companion JSON; give the CSV another extension")
+        # both targets are checked before anything is computed or written
+        for path in (args.out, json_out):
+            _writable_target(path)
     trace, default_site, x = _evolve_trace(args, json_out)
     site = default_site if args.site is None else args.site
     peaks = dynamics.spectrum(trace, site)

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .anticontinuum import (
-    LatticeParams,
-    SolutionSet,
-    StationaryState,
-    build_state,
-    translate_state,
-)
+from .anticontinuum import LatticeParams, SolutionSet, build_state
 from .errors import (ConfigurationError, DomainError, IntegrationError,
                      check_int, check_real, check_signs, check_site)
 
@@ -325,26 +319,25 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
     return trace
 
 
-def _well_states(j: int, params: LatticeParams) -> list[StationaryState]:
-    """The three zero-hopping states sharing well j: {j}, {j, j+1}, {j-1, j};
-    they exist together only for nu/f > 1.
+def _well_states(j: int, params: LatticeParams) -> list[np.ndarray]:
+    """The coefficient vectors of the three zero-hopping states sharing well
+    j: {j}, {j, j+1}, {j-1, j}; they exist together only for nu/f > 1.
 
-    Each is the well-0 state built on the window moved by -j and shifted
-    up the ladder by `translate_state`, so a far well carries the well-0
-    amplitudes bit for bit instead of the round-off of mu - f l at large
-    l; the shifted state still passes the zero-hopping self-check.
+    The ladder maps l -> l + j, mu -> mu + j f, so each is the vector of
+    the well-0 state built on the window moved by -j: a far well carries
+    the well-0 amplitudes bit for bit, with no round-off of mu - f l at
+    large l.
     """
     j = check_int(j, "well index")
     beat_periods(params.ratio)  # refuses nu/f <= 1
     home = params.shifted(-j)
-    return [translate_state(build_state(SolutionSet(s), home), j)
+    return [build_state(SolutionSet(s), home).coefficients
             for s in ((0,), (0, 1), (-1, 0))]
 
 
 def superposition_state(j: int, params: LatticeParams) -> np.ndarray:
     """Normalized coherent sum of the three all-plus states on well j."""
-    states = _well_states(j, params)
-    total = np.sum([s.coefficients for s in states], axis=0).astype(complex)
+    total = np.sum(_well_states(j, params), axis=0).astype(complex)
     return total / math.sqrt(float(np.sum(np.abs(total) ** 2)))
 
 
@@ -355,14 +348,16 @@ def beating_trace(j: int, params: LatticeParams, t_end,
 
     A sum of stationary states is not itself a solution, so evolving the
     summed vector washes the beats out; the observable superposition keeps
-    each state on its own exact orbit.  The sum runs in place in the first
-    state's trace; the drift ledger reports the worst of the three
+    each state on its own exact orbit.  The well-j vectors are the well-0
+    ones and `evolve` steps in the frame of the window's middle site, so any
+    well gives the well-0 drift ledger bit for bit.  The sum runs in place
+    in the first state's trace; the ledger reports the worst of the three
     underlying integrations.
     """
     first, *others = _well_states(j, params)
-    total = evolve(first.coefficients, params, t_end, dt)
-    for state in others:
-        member = evolve(state.coefficients, params, t_end, dt)
+    total = evolve(first, params, t_end, dt)
+    for vector in others:
+        member = evolve(vector, params, t_end, dt)
         np.add(total.states, member.states, out=total.states)
         total = replace(
             total, norm_drift=max(total.norm_drift, member.norm_drift),

@@ -298,6 +298,41 @@ def test_out_refuses_a_target_that_is_not_a_regular_file(tmp_path, capsys,
     assert [p.name for p in tmp_path.rglob("*")] == ["out.json"]
 
 
+def test_evolve_refuses_its_companion_path_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # the companion JSON of run.csv is run.json, here a directory: refused
+    # before the integration, so no CSV is left behind
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").mkdir()
+
+    def integrates(*args):
+        raise AssertionError("integrated before the companion was checked")
+
+    monkeypatch.setattr(cli, "_evolve_trace", integrates)
+    assert run(["evolve", "--x", "1.5", "--t-end", "7",
+                "--out", "run.csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: not a regular file: 'run.json'\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--set", "0,1", "--x", "1.5"],
+    ["tree", "--x-min", "0", "--x-max", "3", "--samples", "4"],
+    ["evolve", "--x", "1.5", "--t-end", "7"],
+])
+def test_empty_out_is_refused_not_read_as_stdout(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    # an unset $OUT in `--out "$OUT"` must fail, not print the data
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--out", ""]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: not a regular file: ''\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("n_times, stride", [(7, 1), (7, 3), (9, 4), (2, 5)])
 def test_streamed_evolve_csv_matches_csv_writer(n_times, stride):
     rng = np.random.default_rng(n_times + stride)
@@ -454,7 +489,6 @@ TINY_RATIO = ["--set", "0", "--x", "1e-320"]
 @pytest.mark.parametrize("argv", [
     ["state", "--set", "10000000,10000001", "--x", "1.5"],
     ["state", "--set", "0,1", "--x", "1e9"],
-    ["evolve", "--x", "1.5", "--j", "10000000"],
     ["state", *THRESHOLD_EDGE],
     ["continue", *THRESHOLD_EDGE, "--beta", "0.01"],
     ["evolve", *THRESHOLD_EDGE, "--beta", "0.01", "--t-end", "1"],
@@ -663,10 +697,12 @@ def test_evolve_without_out_writes_the_csv_to_stdout_and_companion_to_stderr(
     assert captured.err == (tmp_path / "evolve.json").read_bytes().decode("utf-8")
 
 
-@pytest.mark.parametrize("j", [10, 100])
+@pytest.mark.parametrize("j", [10, 100, 10_000_000])
 def test_evolve_on_a_distant_well_matches_well_zero(tmp_path, j):
     # two Bloch periods at twice the default dt: integrated at absolute site
-    # indices, RK4 lost 3.4e-6 of the norm at j = 10 and 0.78 at j = 100
+    # indices, RK4 lost 3.4e-6 of the norm at j = 10 and 0.78 at j = 100;
+    # at j = 1e7 round-off of mu - f l breaks a zero-hopping self-check, so
+    # the well states must be the well-0 vectors, not rebuilt at the rung
     argv = ["evolve", "--x", "1.5", "--t-end", str(4 * math.pi),
             "--dt", str(2 * starktree.dynamics.DEFAULT_DT)]
     for well in (0, j):
@@ -677,9 +713,13 @@ def test_evolve_on_a_distant_well_matches_well_zero(tmp_path, j):
     for a, b in zip(near, far):
         assert a["t_prime"] == b["t_prime"]
         assert int(b["site"]) - int(a["site"]) == j
-        assert float(b["abs2"]) == pytest.approx(float(a["abs2"]), abs=1e-10)
-    companion = json.loads((tmp_path / f"well{j}.json").read_text())
+        assert float(b["abs2"]) == pytest.approx(float(a["abs2"]), abs=1e-14)
+    home, companion = (json.loads((tmp_path / f"well{well}.json").read_text())
+                       for well in (0, j))
     assert companion["norm_drift"] < 1e-10
+    # the same vectors stepped in the same frame: the same ledger
+    for key in ("norm_drift", "energy_drift"):
+        assert companion[key] == home[key]
 
 
 def test_evolve_stationary_state_is_flat(tmp_path):

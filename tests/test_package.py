@@ -1,18 +1,23 @@
 """The public surface: `starktree.__all__` is the sorted union of the
 modules' own `__all__` lists, each name declared by the one module that
 defines it.  The source rules: patterns that must match a fixed number of
-lines of the package's source."""
+lines of the package's source.  The README's CLI and library examples run
+as written."""
 
 import re
+import shlex
+import warnings
 from pathlib import Path
 
 import pytest
 
 import starktree
-from starktree import anticontinuum, continuation, dynamics, errors, partitions
+from starktree import (anticontinuum, cli, continuation, dynamics, errors,
+                       partitions)
 
 MODULES = (errors, partitions, anticontinuum, continuation, dynamics)
 PACKAGE = Path(starktree.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_each_public_name_is_declared_once_by_its_module():
@@ -79,3 +84,33 @@ def matching_lines(pattern, files, excluded):
 def test_source_rule(files, excluded, pattern, count):
     hits = matching_lines(pattern, files, excluded)
     assert len(hits) == count, hits
+
+
+def readme_block(section, language):
+    """The lines of the first ```language block under the README's
+    `## section` heading."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index(f"```{language}", lines.index(f"## {section}")) + 1
+    return lines[start:lines.index("```", start)]
+
+
+def test_readme_cli_examples_run_as_written(tmp_path, monkeypatch):
+    # each command in order, since a later one reads what an earlier wrote
+    monkeypatch.chdir(tmp_path)
+    commands = [line for line in readme_block("CLI", "sh")
+                if line.strip() and not line.lstrip().startswith("#")]
+    assert commands
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for line in commands:
+            name, *argv = shlex.split(line)
+            assert name == "starktree", line
+            assert cli.main(argv) == 0, line
+
+
+def test_readme_library_example_runs_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = "\n".join(readme_block("Library", "python"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(code, str(README), "exec"), {"__name__": "readme"})
