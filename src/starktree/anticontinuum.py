@@ -9,8 +9,8 @@ birth threshold.  This module enumerates the admissible sets, builds the
 states, and assembles the bifurcation tree of energies over nu/f.
 
 `LatticeParams` holds the lattice operator once: the hopping stencil and,
-beside it, the full stationary residual at any beta, which the self-checks
-here and the Newton continuation both evaluate.
+beside it, the full stationary residual at any beta, which the self-check
+of `build_state` and the Newton continuation both evaluate.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .partitions import (MAX_ENUMERATION, MAX_N, _q_table, counting_function,
 __all__ = ["BifurcationTree", "Branch", "LatticeParams", "SolutionSet",
            "StationaryState", "admissible", "bifurcation_tree",
            "birth_threshold", "build_state", "complementary_set",
-           "consecutive_threshold", "energy_of_set", "enumerate_solution_sets",
-           "translate_state"]
+           "consecutive_threshold", "energy_of_set", "enumerate_solution_sets"]
 
 # Margin giving finite-hopping tails below 1e-12 for the beta ranges the
 # continuation targets (beta' <= 0.05).
@@ -59,9 +58,10 @@ MAX_WINDOW_SITES = 1 << 12
 class SolutionSet:
     """Finite set of occupied lattice sites, stored sorted.
 
-    Canonical representatives have min = 0; a translated copy (min = j),
-    as `translate_state` makes it on the window moved by j, behaves
-    identically up to the energy shift j*f.
+    Canonical representatives have min = 0; the set moved j rungs down
+    the ladder (min = j), built on the window moved by j
+    (`LatticeParams.shifted`), behaves identically up to the energy shift
+    j*f.
     """
 
     sites: tuple[int, ...]
@@ -85,9 +85,6 @@ class SolutionSet:
     @property
     def cardinality(self) -> int:
         return len(self.sites)
-
-    def translated(self, j: int) -> "SolutionSet":
-        return SolutionSet(tuple(s + j for s in self.sites))
 
     def __contains__(self, site):
         return site in self.sites
@@ -299,38 +296,13 @@ def build_state(sset: SolutionSet, params: LatticeParams,
     with np.errstate(invalid="ignore"):
         coeff[sites - lo] = sign_array * np.sqrt((mu - params.f * sites)
                                                  / params.nu)
-    return _self_checked(StationaryState(params=params, coefficients=coeff,
-                                         mu=mu, set=sset))
-
-
-def _self_checked(state: StationaryState) -> StationaryState:
-    """`state`, once it passes the zero-hopping self-check: the stationary
-    equation at beta = 0, whatever beta its params carry, and the
-    normalization, both to NORMALIZATION_TOL.  Raises DomainError where
-    round-off breaks them."""
-    p = state.params
-    residual = np.max(np.abs(replace(p, beta=0.0).residual(state.coefficients,
-                                                           state.mu)))
+    # the stationary equation at beta = 0, whatever beta the params carry,
+    # and the normalization, both to NORMALIZATION_TOL
+    residual = np.max(np.abs(replace(params, beta=0.0).residual(coeff, mu)))
     if not residual < NORMALIZATION_TOL:
-        raise DomainError(f"set {state.set.sites} at nu/f = {p.ratio} is "
-                          "beyond double precision (self-check over "
-                          f"{NORMALIZATION_TOL})")
-    return state
-
-
-def translate_state(state: StationaryState, j) -> StationaryState:
-    """Shift a state j rungs down the ladder: sites l -> l + j, mu -> mu + j f.
-
-    The window moves with the state (`LatticeParams.shifted`), so the
-    coefficients are carried over bit for bit.  A state with its
-    zero-hopping support is self-checked again on the far rung, where
-    round-off can break the check (DomainError).
-    """
-    params = state.params.shifted(j)
-    new_set = state.set.translated(j) if state.set is not None else None
-    out = StationaryState(params=params, coefficients=state.coefficients.copy(),
-                          mu=state.mu + j * params.f, set=new_set)
-    return out if new_set is None else _self_checked(out)
+        raise DomainError(f"set {sset.sites} at nu/f = {x} is beyond double "
+                          f"precision (self-check over {NORMALIZATION_TOL})")
+    return StationaryState(params=params, coefficients=coeff, mu=mu, set=sset)
 
 
 def enumerate_solution_sets(x) -> list[SolutionSet]:

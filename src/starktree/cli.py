@@ -459,9 +459,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         if json_out == args.out:
             raise DomainError(f"--out {args.out} is also the path of the "
                               "companion JSON; give the CSV another extension")
-        # both targets are checked before anything is computed or written
-        for path in (args.out, json_out):
-            _writable_target(path)
+        # checked, as main checks --out, before anything is computed
+        _writable_target(json_out)
     trace, default_site, x = _evolve_trace(args, json_out)
     site = default_site if args.site is None else args.site
     peaks = dynamics.spectrum(trace, site)
@@ -557,6 +556,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
+        # --out is refused before any work, not once the data is made
+        if getattr(args, "out", None) is not None:
+            _writable_target(args.out)
         return args.handler(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

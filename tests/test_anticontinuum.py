@@ -19,13 +19,11 @@ from starktree import (
     build_state,
     complementary_set,
     consecutive_threshold,
-    continue_in_beta,
     counting_function,
     dnls_residual,
     energy_of_set,
     enumerate_solution_sets,
     q_distinct,
-    translate_state,
 )
 
 # ---------------------------------------------------------------------------
@@ -134,7 +132,8 @@ def test_complementary_set_is_involution_and_translation_invariant():
         assert comp.cardinality == s.cardinality
         if s.sites[0] == 0:
             assert complementary_set(comp) == s
-        assert birth_threshold(s) == birth_threshold(s.translated(7))
+        moved = SolutionSet(tuple(site + 7 for site in sites))
+        assert birth_threshold(s) == birth_threshold(moved)
 
 
 def test_admissible_examples():
@@ -257,47 +256,35 @@ def test_signs_that_are_not_plus_minus_one_are_refused():
 
 
 # ---------------------------------------------------------------------------
-# translation
+# the ladder shift: a state on rung j is build_state of the moved set on
+# params.shifted(j)
 
 
 def test_translate_examples():
     s = SolutionSet((0,))
     p = LatticeParams(nu=2.0, f=1.0, window=(-5, 8))
     st = build_state(s, p)
-    shifted = translate_state(st, 3)
+    shifted = build_state(SolutionSet((3,)), p.shifted(3))
     assert shifted.set.sites == (3,)
+    assert shifted.params.window == (-2, 11)
     assert shifted.mu == st.mu + 3.0
     assert shifted.coefficient_at(3) == 1.0
+    assert np.array_equal(shifted.coefficients, st.coefficients)
     # identity and group property
-    assert np.array_equal(translate_state(st, 0).coefficients, st.coefficients)
-    back = translate_state(translate_state(st, -1), 1)
+    assert np.array_equal(build_state(s, p.shifted(0)).coefficients,
+                          st.coefficients)
+    back = build_state(s, p.shifted(-1).shifted(1))
     assert np.array_equal(back.coefficients, st.coefficients)
     assert back.mu == st.mu
 
 
 def test_translate_refuses_a_shift_beyond_int64_or_not_an_integer():
-    s = SolutionSet((0,))
-    st = build_state(s, LatticeParams(nu=2.0, f=1.0, window=(-3, 3)))
+    p = LatticeParams(nu=2.0, f=1.0, window=(-3, 3))
     with pytest.raises(DomainError, match="window bound"):
-        translate_state(st, 2 ** 63)
+        p.shifted(2 ** 63)
     for j in (1.0, 0.5, True):
         with pytest.raises(DomainError, match="translation must be an integer"):
-            translate_state(st, j)
-
-
-def test_translate_moves_the_window_with_a_continued_state():
-    # continuation spreads the state over the window (set None); the shift
-    # moves the window with it, so nothing is lost and nothing is rebuilt
-    s = SolutionSet((0,))
-    st = continue_in_beta(s, LatticeParams.for_set(s, nu=2.5, f=1.0), 0.01,
-                          steps=1).state
-    assert st.set is None
-    shifted = translate_state(st, 5)
-    assert shifted.params.window == (st.params.window[0] + 5,
-                                     st.params.window[1] + 5)
-    assert np.array_equal(shifted.coefficients, st.coefficients)
-    assert shifted.mu == st.mu + 5.0
-    assert shifted.set is None
+            p.shifted(j)
 
 
 # one ulp above the threshold x = nu/f, (mu - f l)/nu of the top site
@@ -317,9 +304,9 @@ def test_translate_beyond_double_precision_raises():
     # mu grows to 4e4 on the far rung, where round-off alone leaves a
     # residual above the 1e-12 tolerance
     p = LatticeParams(nu=15.0, f=10.0, window=(-5, 4000))
-    st = build_state(SolutionSet((0, 1)), p)
+    build_state(SolutionSet((0, 1)), p)  # passes on rung 0
     with pytest.raises(DomainError, match="double precision"):
-        translate_state(st, 3990)
+        build_state(SolutionSet((3990, 3991)), p.shifted(3990))
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,35 @@ def test_empty_out_is_refused_not_read_as_stdout(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, out, spied", [
+    (["state", "--set", "0,1", "--x", "1.5", "--beta", "0.02"], "run.json",
+     "continue_in_beta"),
+    (["continue", "--set", "0,1", "--x", "1.5", "--beta", "0.02"], "run.json",
+     "continue_in_beta"),
+    (["tree", "--x-min", "0", "--x-max", "3", "--samples", "4"], "run.json",
+     "bifurcation_tree"),
+    # resonant: the refusal of --out comes first, not a failed record's write
+    (["state", "--set", "0", "--x", "1.0", "--beta", "0.01"], "",
+     "continue_in_beta"),
+    (["continue", "--set", "0", "--x", "1.0", "--beta", "0.01"], "",
+     "continue_in_beta"),
+], ids=["state", "continue", "tree", "state_resonant", "continue_resonant"])
+def test_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                        out, spied):
+    # a directory, or the empty path, as --out
+    monkeypatch.chdir(tmp_path)
+    if out:
+        (tmp_path / out).mkdir()
+    calls = []
+    monkeypatch.setattr(cli, spied, lambda *args, **kwargs: calls.append(args))
+    assert run([*argv, "--out", out]) == 3
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.err == f"error: not a regular file: {out!r}\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ([out] if out else [])
+
+
 @pytest.mark.parametrize("n_times, stride", [(7, 1), (7, 3), (9, 4), (2, 5)])
 def test_streamed_evolve_csv_matches_csv_writer(n_times, stride):
     rng = np.random.default_rng(n_times + stride)

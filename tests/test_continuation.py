@@ -21,7 +21,6 @@ from starktree import (
     extended_jacobian,
     jacobian_diagonal_t0,
     newton_solve,
-    translate_state,
 )
 
 S0 = SolutionSet((0,))
@@ -58,7 +57,7 @@ def test_residual_translation_covariance():
     p = LatticeParams(nu=1.5, f=1.0, beta=0.07, window=(-7, 8))
     st = build_state(S01, p)
     r = dnls_residual(st)
-    shifted = translate_state(st, 2)
+    shifted = build_state(SolutionSet((2, 3)), p.shifted(2))
     np.testing.assert_allclose(dnls_residual(shifted), r, rtol=0.0, atol=1e-14)
 
 
@@ -364,7 +363,7 @@ def test_continuation_mu_continuous_along_path():
 def test_continuation_translation_covariance_at_finite_hopping():
     x, beta = 2.5, 0.04
     s = SolutionSet((0, 2))
-    shifted = s.translated(3)
+    shifted = SolutionSet((3, 5))
     p = LatticeParams.for_set(s, nu=x, f=1.0)
     p_shifted = p.shifted(3)
     res = continue_in_beta(s, p, beta, steps=8)

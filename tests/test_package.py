@@ -80,6 +80,10 @@ def matching_lines(pattern, files, excluded):
     # integrates either
     pytest.param("cli.py", None, r"dynamics.evolve\(", 1,
                  id="one integration call"),
+    # main refuses an unwritable --out of every subcommand before its
+    # handler runs; no handler checks it again once its data is made
+    pytest.param("cli.py", None, r"_writable_target\(args\.out\)", 1,
+                 id="one --out check"),
 ])
 def test_source_rule(files, excluded, pattern, count):
     hits = matching_lines(pattern, files, excluded)
