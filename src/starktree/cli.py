@@ -443,12 +443,14 @@ def _evolve_csv(trace: dynamics.DynamicsTrace, stride: int):
     stride-th sampled step over the trace's window, one chunk per step."""
     yield "t_prime,site,abs2\n"
     lo, hi = trace.window
-    sites = range(lo, hi + 1)
+    # a row is one %-format of this template with the step's time text and
+    # each site's abs2 in turn; %.17g writes what format(a, ".17g") does
+    template = "".join(f"%s,{site},%.17g\n" for site in range(lo, hi + 1))
     abs2 = np.abs(trace.states[::stride]) ** 2
     for t, row in zip(trace.times[::stride].tolist(), abs2):
-        t_text = fmt(t)
-        yield "".join([f"{t_text},{site},{a:.17g}\n"
-                       for site, a in zip(sites, row.tolist())])
+        values = [fmt(t), None] * row.size
+        values[1::2] = row.tolist()
+        yield template % tuple(values)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:

@@ -37,6 +37,10 @@ DRIFT_LIMIT = 1e-6
 # allocates; longer requests are refused before any allocation.
 MAX_TRACE_BYTES = 1 << 30
 
+# Complex entries per block of rows in the drift ledger, so that its
+# temporaries stay a few hundred kilobytes on any trace.
+_LEDGER_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class DynamicsTrace:
@@ -148,8 +152,10 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
     c0 exp(i k rate), rate = dt (l - 2 beta/f + nu/f |c0|^2), with no
     time loop.  Otherwise each stage applies the U of _propagator: one dense
     product on a window of at most 4b+5 sites, else a sum over U's band.
-    The stages write into buffers made once per call, so a step allocates
-    no array.  The propagator buffers are freed on return, before evolve's
+    Dense and band windows share one time loop, in which only that linear
+    map differs.  The stages write into buffers made once per call, the
+    last straight into the step's row of the trace, so a step allocates
+    no data.  The propagator buffers are freed on return, before evolve's
     ledger runs.
     """
     beta, nu, f = params.beta, params.nu, params.f
@@ -175,43 +181,53 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
     states[0] = c0
     outer = _propagator(params, w1 * dt, b)
     inner = _propagator(params, w0 * dt, b)
-    dense = outer.shape == (width, width)
-    # a stage writes U c of its input into `c`: one dense product where U
-    # is dense, else (band * shifted).sum(0) through the buffer `prod`,
-    # where shifted[j] = pad[j:j + W] views the zero-padded stage input, so
-    # c_{l+k} sits under U[l, l+k]; `prod` is in the band's C order, so the
-    # sum adds whole rows
+    # bound once: the time loop calls them at every stage
+    multiply, square, exp = np.multiply, np.square, np.exp
+    # a stage's linear map (x, out) writes U x into out, x being stage_in:
+    # one dense product where U is dense, else (band * shifted).sum(0)
+    # through the buffer `prod`, where shifted[j] = pad[j:j + W] views the
+    # zero-padded stage_in, so x_{l+k} sits under U[l, l+k]; `prod` is in
+    # the band's C order, so the sum adds whole rows
     pad = np.zeros(width + 2 * b, dtype=complex)
     stage_in = pad[b:b + width]
-    c = np.empty(width, dtype=complex)
-    if not dense:
+    if outer.shape == (width, width):
+        outer_map, inner_map = outer.dot, inner.dot
+    else:
         shifted = np.lib.stride_tricks.sliding_window_view(pad, width)
         prod = np.empty_like(outer)
-    # phase exponents per unit |c|^2: i nu/f times the phase's duration,
-    # half an outer stage at each end of a step and, between two stages,
-    # the merged halves of both
-    half = np.complex128(0.5j * w1 * dt * nu / f)
-    merged = np.complex128(0.5j * (w1 + w0) * dt * nu / f)
-    stages = ((outer, merged), (inner, merged), (outer, half))
+
+        def linear(u):
+            return lambda x, out: np.add.reduce(multiply(u, shifted, prod),
+                                                0, None, out)
+        outer_map, inner_map = linear(outer), linear(inner)
+    # the phase exp(i s |c|^2) is the exp of `arg`, whose float view is
+    # squares . [[0, s], [0, s]], squares = (re^2, im^2) of c per site: its
+    # real part is exactly 0, its imaginary part s |c|^2.  s is nu/f times
+    # the phase's duration: half an outer stage at each end of a step and,
+    # between two stages, the merged halves of both
+    c, arg, phase = np.empty((3, width), dtype=complex)
+    c_float = c.reshape(width, 1).view(float)
+    arg_float = arg.reshape(width, 1).view(float)
+    squares = np.empty((width, 2))
+    half = np.array([[0.0, 0.5 * w1 * dt * nu / f]] * 2)
+    merged = np.array([[0.0, 0.5 * (w1 + w0) * dt * nu / f]] * 2)
 
     # a step opens with the half-phase exp(half |c|^2) that closed the step
-    # before, on the state that step left in stage_in
-    phase = np.exp(half * (c0 * c0.conj()))
-    stage_in[:] = c0
-    for k in range(1, n_steps + 1):
-        np.multiply(stage_in, phase, stage_in)
-        for u, scale in stages:
-            if dense:
-                u.dot(stage_in, c)
-            else:
-                np.add.reduce(np.multiply(u, shifted, prod), 0, None, c)
-            # phase = exp(scale |c|^2), computed in place
-            np.conjugate(c, phase)
-            np.multiply(c, phase, phase)
-            np.multiply(scale, phase, phase)
-            np.exp(phase, phase)
-            np.multiply(c, phase, stage_in)
-        states[k] = stage_in
+    # before, on the row that step wrote; the first opens on c0
+    c[:] = c0
+    square(c_float, squares)
+    squares.dot(half, arg_float)
+    exp(arg, phase)
+    for before, row in zip(states, states[1:]):
+        multiply(before, phase, stage_in)
+        for apply, weights, out in ((outer_map, merged, stage_in),
+                                    (inner_map, merged, stage_in),
+                                    (outer_map, half, row)):
+            apply(stage_in, c)
+            square(c_float, squares)
+            squares.dot(weights, arg_float)
+            exp(arg, phase)
+            multiply(c, phase, out)
     return states
 
 
@@ -219,28 +235,35 @@ def _drifts(states: np.ndarray, params: LatticeParams) -> tuple[float, float]:
     """(norm_drift, energy_drift), as DynamicsTrace defines them, of a trace
     with the tilt f l of its window.
 
-    Each row sum is an einsum over the real and imaginary parts, with
-    |c|^2 = re^2 + im^2 and |c|^4 = re^4 + 2 re^2 im^2 + im^4, so no
-    trace-sized temporary is made.
+    One pass over blocks of about _LEDGER_BLOCK entries: per block, the
+    float view squared gives |c|^2 = re^2 + im^2, whose products with
+    [1, tilt] are the norm and tilt sums and whose square sums to the
+    quartic term; the bonds Re(conj(c_l) c_{l+1}) are the products of the
+    float view with itself two floats on.  So nothing trace-sized is made.
     """
+    width = states.shape[1]
     tilt = params.f * params.window_sites
-    re, im = states.real, states.imag
-    norms = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
-    norm_drift = float(np.max(np.abs(norms - 1.0)))
-    # 2 Re(conj(c_l) c_{l+1}) + 2 |c_l|^2 per row
-    hops = -params.beta * (
-        2.0 * (np.einsum("ij,ij->i", re[:, :-1], re[:, 1:])
-               + np.einsum("ij,ij->i", im[:, :-1], im[:, 1:]))
-        + 2.0 * norms)
-    nonlinear = 0.5 * params.nu * (
-        np.einsum("ij,ij,ij,ij->i", re, re, re, re)
-        + 2.0 * np.einsum("ij,ij,ij,ij->i", re, re, im, im)
-        + np.einsum("ij,ij,ij,ij->i", im, im, im, im))
-    tilted = (np.einsum("ij,ij,j->i", re, re, tilt)
-              + np.einsum("ij,ij,j->i", im, im, tilt))
-    energies = hops + nonlinear + tilted
-    scale = abs(hops[0]) + nonlinear[0] + np.abs(states[0]) ** 2 @ np.abs(tilt)
-    return norm_drift, float(np.max(np.abs(energies - energies[0])) / scale)
+    weights = np.stack([np.ones(width), tilt], axis=1)
+    rows = max(1, _LEDGER_BLOCK // width)
+    norm_drift = energy_drift = 0.0
+    for start in range(0, states.shape[0], rows):
+        flat = states[start:start + rows].view(float)
+        squares = np.square(flat)
+        abs2 = squares[:, 0::2] + squares[:, 1::2]
+        norms, tilted = (abs2 @ weights).T
+        # 2 Re(conj(c_l) c_{l+1}) + 2 |c_l|^2 per row
+        hops = -params.beta * 2.0 * (
+            np.einsum("ij,ij->i", flat[:, :-2], flat[:, 2:]) + norms)
+        nonlinear = 0.5 * params.nu * np.einsum("ij,ij->i", abs2, abs2)
+        energies = hops + nonlinear + tilted
+        if start == 0:
+            first = energies[0]
+            scale = abs(hops[0]) + nonlinear[0] + abs2[0] @ np.abs(tilt)
+        # np.maximum, unlike max, keeps a NaN of any block
+        norm_drift = np.maximum(norm_drift, np.max(np.abs(norms - 1.0)))
+        energy_drift = np.maximum(energy_drift,
+                                  np.max(np.abs(energies - first)))
+    return float(norm_drift), float(energy_drift / scale)
 
 
 def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
@@ -315,7 +338,8 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
         )
     trace = DynamicsTrace(dt=dt, states=states, window=params.window,
                           norm_drift=norm_drift, energy_drift=energy_drift)
-    states *= np.exp(1j * l0 * trace.times)[:, None]
+    if l0:
+        states *= np.exp(1j * l0 * trace.times)[:, None]
     return trace
 
 

@@ -362,12 +362,19 @@ def test_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv,
     assert [p.name for p in tmp_path.iterdir()] == ([out] if out else [])
 
 
-@pytest.mark.parametrize("n_times, stride", [(7, 1), (7, 3), (9, 4), (2, 5)])
+@pytest.mark.parametrize("n_times, stride",
+                         [(7, 1), (7, 3), (9, 4), (2, 5), (16, 1), (16, 7)])
 def test_streamed_evolve_csv_matches_csv_writer(n_times, stride):
+    # a row is one %-format of a per-window template; it must write what
+    # formatting each value on its own writes.  Every 7th row holds 0, 1,
+    # the subnormal 5e-324 and 0.1 + 0.2, and has abs2 exactly 0, 1 and
+    # 5e-324 too; each stride above 1 leaves a part-stride after the last row
     rng = np.random.default_rng(n_times + stride)
     sites = np.arange(-2, 3)
     states = (rng.normal(size=(n_times, sites.size))
               + 1j * rng.normal(size=(n_times, sites.size)))
+    states[::7] = [0.0, 5e-324, 1.0, 0.1 + 0.2, math.sqrt(5e-324)]
+    assert {0.0, 5e-324, 1.0} <= set((np.abs(states[0]) ** 2).tolist())
     trace = DynamicsTrace(dt=0.1, states=states, window=(-2, 2),
                           norm_drift=0.0, energy_drift=0.0)
     buffer = io.StringIO()

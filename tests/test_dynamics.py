@@ -303,16 +303,30 @@ def test_dense_small_window_step_matches_the_band_step():
 @pytest.mark.parametrize("case, digest", [
     # b = 3: 64 sites are wider than the 17-site block, and the window's
     # middle is not site 0, so the trace is turned back as well
-    ("64_sites", "787d87d3f534aed70a841f5f239b80b87facfe74b227418e46d237b215ee322b"),
+    pytest.param(
+        "64_sites",
+        "73680e89af8588255e765fe8b7db6ed5e9c3deafae5e41847aa20a1ccfb16b63",
+        id="64_sites"),
     # b = 14 on 300 sites, from a random state
-    ("300_sites_wide_band",
-     "06ed85f93e99d11ec983b8a4a1da8bfa6e25b8b97d131555dfd58b6562a98504"),
+    pytest.param(
+        "300_sites_wide_band",
+        "e858bfa8406c0593e4459d614b49b0720ce3456b1903bc88a40a599c42fe3fd5",
+        id="300_sites_wide_band"),
 ])
 def test_banded_evolve_trace_is_pinned_bit_for_bit(case, digest):
     """The sha256 of the trace's states on windows wider than 4b+5 sites,
     which apply U as its band.  Like the evolve_hopping golden, the digest
     depends on LAPACK's eigh: it was recorded with numpy 2.4.6 and its
-    bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) on x86-64."""
+    bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) on x86-64.
+
+    Both digests were re-recorded when the split step began to take each
+    phase exponent from the squared float view of the state, whose sum
+    re^2 s + im^2 s rounds differently from s (re^2 + im^2).  The states
+    moved by at most 1.1e-15 (64 sites) and 2.3e-16 (300 sites), |c|^2 by
+    1.8e-15 and 5.9e-17; the norm drifts went 5.81e-14 -> 5.65e-14 and
+    2.33e-15 -> 2.00e-15, and the energy drifts moved in their last
+    digits.  The test ids no longer carry the digest, so a re-record
+    keeps them."""
     if case == "64_sites":
         p = LatticeParams(nu=1.5, f=1.0, beta=0.01, window=(-30, 33))
         trace = evolve(superposition_state(0, p), p, t_end=512 * DEFAULT_DT)
@@ -441,6 +455,42 @@ def test_energy_drift_scale_does_not_vanish():
     initial[-1 - p.window[0]] = 1.0
     trace = evolve(initial, p, t_end=4.0 * BLOCH_PERIOD)
     assert trace.energy_drift < 1e-10
+
+
+@pytest.mark.parametrize("n_rows, width, block, nan_row", [
+    # 1,260 rows a block: two full blocks and a ragged one of 480
+    (3000, 13, dynamics._LEDGER_BLOCK, None),
+    # wider than the block, so each block holds one row
+    (7, 40, 16, None),
+    (1, 13, dynamics._LEDGER_BLOCK, None),
+    # four rows a block; a NaN in the second must reach evolve's check
+    (10, 4, 16, 6),
+])
+def test_drift_ledger_matches_its_direct_formula(n_rows, width, block,
+                                                 nan_row, monkeypatch):
+    monkeypatch.setattr(dynamics, "_LEDGER_BLOCK", block)
+    rng = np.random.default_rng(n_rows + width)
+    states = (rng.normal(size=(n_rows, width))
+              + 1j * rng.normal(size=(n_rows, width)))
+    # the last row, in the ragged block, carries both largest drifts
+    states[-1] *= 1.5
+    if nan_row is not None:
+        states[nan_row, 1] = np.nan
+    p = LatticeParams(nu=1.5, f=0.7, beta=0.1, window=(-5, width - 6))
+    # the DynamicsTrace definitions, from |c|^2 and conj(c_l) c_{l+1}
+    abs2 = np.abs(states) ** 2
+    norms = abs2.sum(axis=1)
+    bonds = (states[:, :-1].conj() * states[:, 1:]).real.sum(axis=1)
+    hops = -p.beta * (2.0 * bonds + 2.0 * norms)
+    nonlinear = 0.5 * p.nu * (abs2 ** 2).sum(axis=1)
+    tilt = p.f * p.window_sites
+    energies = hops + nonlinear + abs2 @ tilt
+    scale = abs(hops[0]) + nonlinear[0] + abs2[0] @ np.abs(tilt)
+    expected = (np.max(np.abs(norms - 1.0)),
+                np.max(np.abs(energies - energies[0])) / scale)
+    assert np.isnan(expected).all() == (nan_row is not None)
+    np.testing.assert_allclose(dynamics._drifts(states, p), expected,
+                               rtol=1e-14, atol=0)
 
 
 def test_wide_window_step_stays_banded():

@@ -37,6 +37,16 @@ The evolve_nu_f stdout was re-recorded when `evolve` without --out began
 to write its companion JSON to stderr: the new stdout is the old stdout
 with the trailing companion JSON removed, byte for byte, and that JSON is
 exactly what now goes to stderr.
+evolve_hopping, evolve_initial, evolve_initial_site and evolve_set were
+re-recorded when the split step began to take each phase exponent from
+the squared float view of the state and the drift ledger became one
+blocked pass over the trace.  Rows, t_prime, sites and peak frequencies
+are the same.  abs2 moved by at most 1.2e-14 in the three finite-hopping
+cases, and their drifts moved in the last digits (evolve_hopping: norm
+2.963e-12 -> 2.972e-12, energy 4.898e-12 -> 4.913e-12).  evolve_set is
+at beta = 0: its CSV is byte for byte the same, and only its JSON
+energy_drift moved, 6.27e-16 -> 7.84e-16.  evolve_beating,
+evolve_negative_mu and evolve_nu_f did not move.
 state_failed and evolve_set_failed were not recorded: their failed record
 must be byte for byte the `out` of continue_failed, the same inputs
 continued the same way, so they carry its digest.
@@ -158,27 +168,27 @@ GOLDEN = {
         "stdout":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out":
-            "20dfc83a2a5e8040a4652741aea2058d9edc4e1cd3a58faf2470e9ff334d883a",
+            "048b836dc9cfc22fbadf1fc9fca1b663eaddc751ebf91b7d1db2578af21bba6d",
         "out.json":
-            "592fb7042ffce047d73b6ef81ad7b6e5618bebf302f427b694e2d414363aab42",
+            "7ee3ba0dfdb876818e446dd99af31e064709962bd46993bd501b771985715b9a",
     },
     "evolve_initial": {
         "rc": 0,
         "stdout":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out":
-            "632ee9ff6b96b74208d133eec2228da074023cf61c54d9a703bee7808c1f1805",
+            "fa30269a31c7c4f4b33703689f6ad1549a04c8afc260deac715432e0de1b53d1",
         "out.json":
-            "6a04f4e266b3300257df8cfae6f0e2598492930ba52e026e4169a3a318bbe4fe",
+            "6077e3446c824936a702a76773b7827e8726347a71e6b3f63f559c333f8de873",
     },
     "evolve_initial_site": {
         "rc": 0,
         "stdout":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out":
-            "632ee9ff6b96b74208d133eec2228da074023cf61c54d9a703bee7808c1f1805",
+            "fa30269a31c7c4f4b33703689f6ad1549a04c8afc260deac715432e0de1b53d1",
         "out.json":
-            "f19463c4c4431af642fd815260bb8b3c3b063bcb7e79df4ad382c17536ee4389",
+            "52dbe4d2400c82b9b93e480ad236a79f716d57ad3c1381e47c5127d425cf2ff4",
     },
     "evolve_negative_mu": {
         "rc": 0,
@@ -201,7 +211,7 @@ GOLDEN = {
         "out":
             "3c1fe668f55b9bcb04dc6002126fb8949cf84d1c5b972310f4a7dad8994f78f0",
         "out.json":
-            "62b300dfb6e16343a4978399137e5f9f3a2b2128be6abeff7c2cc0a5e0055ae0",
+            "8439deed5198139a696f35a03b3265262e7de64a3752d4500c6eee8b29f75854",
     },
     "evolve_set_failed": {
         "rc": 4,
