@@ -16,6 +16,7 @@ of `build_state` and the Newton continuation both evaluate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from itertools import repeat
@@ -211,13 +212,17 @@ class BifurcationTree:
     """Branches in threshold order, with each distinct energy curve held once.
 
     mu/f = x/N + sum(S)/N depends on a set only through N and sum S, so the
-    branches born at threshold n lie on fewer curves than there are
-    branches.  `blocks[n]` is the (curves, samples) array of mu/f of those
-    curves, in order of their first branch, and `curves[n]` holds each
-    branch's row in it, in branch order; a branch's `mu_over_f` is that row.
-    Every row is computed as xs / N, then += sum(S) / N, from N and sum S
-    alone, so two branches with equal N and sum S would get equal rows bit
-    for bit, and sharing one row changes no value.
+    branches lie on fewer curves than there are branches, and one curve is
+    born again at many thresholds.  The curves are numbered tree-wide in
+    order of first appearance.  `blocks[n]` is the (curves, samples) array
+    of mu/f of the curves first seen at threshold n, sampled from n's first
+    grid point on (it may have no rows), and its rows follow those of the
+    blocks before.  `curves[n]` holds the tree-wide row of each branch born
+    at n, in branch order; a branch's `mu_over_f` is the suffix of that row
+    from its own first grid point, one view shared by the branches of
+    threshold n on the curve.  Every row is computed as xs / N, then
+    += sum(S) / N, elementwise from N and sum S alone, so each suffix is
+    bit for bit the branch's own xs / N + sum(S) / N.
     """
 
     branches: list[Branch]
@@ -356,9 +361,10 @@ def bifurcation_tree(x_min, x_max, samples: int = DEFAULT_TREE_SAMPLES
     strictly above its threshold, where mu/f = x/N + sum(S)/N.  Branches
     come in threshold order, so each samples a suffix of the read-only
     x_grid that starts no earlier than the one before, and `xs` is a view
-    of that suffix.  The q(n) branches born at threshold n share `xs`, and
-    their energies are the rows of one block, `blocks[n]`, one row per
-    distinct (N, sum S); `curves[n]` gives each branch's row.
+    of that suffix.  The q(n) branches born at threshold n share `xs`.
+    Their energies are rows of the whole tree, one per distinct (N, sum S):
+    `blocks[n]` holds those first seen at n, and `curves[n]` gives each
+    branch's row (see `BifurcationTree`).
     A tree of more than MAX_TREE_SAMPLES samples is refused before any set
     is enumerated.
     """
@@ -382,22 +388,33 @@ def bifurcation_tree(x_min, x_max, samples: int = DEFAULT_TREE_SAMPLES
     # the sets come in threshold order, q[n] of them born at threshold n
     sets = enumerate_solution_sets(x_max)
     branches, blocks, curves = [], [], []
-    for birth, (q_n, k) in enumerate(zip(q, first)):
+    index = {}  # (N, sum S) -> its tree-wide row, in order of first appearance
+    rows, starts = [], []  # each row's view and its block's first grid index
+    for birth, (q_n, k) in enumerate(zip(q, first.tolist())):
         born = sets[len(branches):len(branches) + q_n]
         xs = grid[k:]
-        # each branch's row: the first-seen order of its (N, sum S)
-        index = {}
+        seen = len(index)
         curve = [index.setdefault((len(sset.sites), sum(sset.sites)), len(index))
                  for sset in born]
-        n, sums = (np.array(v, dtype=float)[:, None] for v in zip(*index))
+        # the (N, sum S) first seen here, as columns; there may be none
+        new = np.array(list(index)[seen:], dtype=float).reshape(-1, 2)
+        n, sums = new.T[..., None]
         # sum(S) and N are exact floats; the in-place add allocates once
         mus = xs / n
         mus += sums / n
         blocks.append(mus)
-        curves.append(np.array(curve))
-        # one view per row, shared by the branches on its curve
-        rows = list(mus)
+        ids = np.array(curve)
+        curves.append(ids)
+        # the rows sampled from before k are a prefix, as starts rises; each
+        # of this threshold's curves among them gets one view from k on,
+        # shared by its branches
+        early = bisect_left(starts, k)
+        rows += list(mus)
+        starts += [k] * len(mus)
+        views = rows.copy()
+        for c in np.unique(ids[ids < early]).tolist():
+            views[c] = rows[c][k - starts[c]:]
         branches.extend(map(Branch, born, repeat(birth), repeat(xs),
-                            map(rows.__getitem__, curve)))
+                            map(views.__getitem__, curve)))
     return BifurcationTree(branches=branches, x_grid=grid, blocks=blocks,
                            curves=curves)

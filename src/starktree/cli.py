@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from operator import itemgetter
 
 import numpy as np
 
@@ -203,19 +204,23 @@ def _tree_csv(tree):
     """The tree CSV as chunks: the header, then one chunk per grid point and
     threshold whose branches are live there.
 
-    At grid point k the energies of the curves born at one threshold are
-    one column of the threshold's block in `tree.blocks`.  Branches come in
-    threshold order and each threshold's samples start no earlier than the
-    one before, so the live thresholds at k are a prefix.  Each curve's mu
-    is formatted once per grid point and shared by every branch on it; each
-    branch's text before and after mu is made once.
+    Branches come in threshold order and each threshold's samples start no
+    earlier than the one before, so the live thresholds at grid point k are
+    a prefix, and so are the blocks of `tree.blocks`, block n holding the
+    curves first seen at threshold n.  At k, each live block's column is
+    formatted once into one list of mu texts, in tree-wide row order, and
+    every branch on a curve, whatever its threshold, takes its text from
+    there by `tree.curves`; each branch's text before and after mu is made
+    once.
     """
     yield "x,branch_id,set,mu_over_f,n_modes,birth_x\n"
     size = tree.x_grid.size
-    # per threshold: its first grid index, the curve of each branch, the
-    # block's columns, and the text of its rows as four pieces per branch,
-    # x, ",id,label,", mu and ",N,birth\n", x and mu filled in at each grid
-    # point
+    # one int object per tree-wide row, shared by every threshold's getter
+    ids = list(range(sum(map(len, tree.blocks))))
+    # per threshold: its first grid index, its block's columns, the getter
+    # of its branches' mu texts, and the text of its rows as four pieces
+    # per branch, x, ",id,label,", mu and ",N,birth\n", x and mu filled in
+    # at each grid point
     groups = []
     start = 0
     for birth, (block, curve) in enumerate(zip(tree.blocks, tree.curves)):
@@ -226,16 +231,21 @@ def _tree_csv(tree):
             n = len(sites)
             pieces += ["", f",{i},{'+'.join(map(str, sites))},", "",
                        tails.setdefault(n, f",{n},{birth}\n")]
-        groups.append((size - block.shape[1], curve.tolist(), block.T, pieces))
+        rows = list(map(ids.__getitem__, curve.tolist()))
+        # itemgetter of one index returns the item, not a 1-tuple
+        pick = (itemgetter(*rows) if len(rows) > 1
+                else itemgetter(slice(rows[0], rows[0] + 1)))
+        groups.append((size - block.shape[1], block.T, pick, pieces))
         start += len(curve)
     for k, x in enumerate(tree.x_grid.tolist()):
         x_text = fmt(x)
-        for first, curve, columns, pieces in groups:
+        texts = []
+        for first, columns, pick, pieces in groups:
             if first > k:
                 break
-            mus = [f"{mu:.17g}" for mu in columns[k - first].tolist()]
-            pieces[0::4] = [x_text] * len(curve)
-            pieces[2::4] = map(mus.__getitem__, curve)
+            texts += [f"{mu:.17g}" for mu in columns[k - first].tolist()]
+            pieces[0::4] = [x_text] * (len(pieces) // 4)
+            pieces[2::4] = pick(texts)
             yield "".join(pieces)
 
 
@@ -244,29 +254,32 @@ def _tree_json(tree):
     written by hand: one chunk for the grid, then one per branch.
 
     Floats are the repr of Python floats, as json writes them.  Each grid
-    point's repr is made once and shared by every branch's samples; each
-    curve's samples text is made once per birth block and shared by every
-    branch on the curve.
+    point's repr is made once and shared by every branch's samples.  Each
+    curve's samples text is made once per birth threshold, from the
+    `mu_over_f` of its first branch there, and shared by every branch of
+    that threshold on the curve; it is not kept across thresholds, so only
+    one threshold's texts are held at a time.
     """
     x_reprs = [repr(x) for x in tree.x_grid.tolist()]
     yield ('{\n  "x_grid": [\n    ' + ",\n    ".join(x_reprs)
            + '\n  ],\n  "branches": [')
     heads = [f"\n        [\n          {x},\n          " for x in x_reprs]
-    size = len(heads)
     i = 0
-    for block, curve in zip(tree.blocks, tree.curves):
-        block_heads = heads[size - block.shape[1]:]
-        samples = ["\n        ],".join([f"{head}{mu!r}"
-                                         for head, mu in zip(block_heads, row)])
-                   for row in block.tolist()]
+    for curve in tree.curves:
+        samples = {}  # tree-wide row -> its samples text
         for c in curve.tolist():
             b = tree.branches[i]
+            text = samples.get(c)
+            if text is None:
+                text = samples[c] = "\n        ],".join([
+                    f"{head}{mu!r}" for head, mu in
+                    zip(heads[len(heads) - b.xs.size:], b.mu_over_f.tolist())])
             sites = ",\n        ".join(map(str, b.set.sites))
             yield (f'{"," if i else ""}\n    {{\n      "id": {i},\n'
                    f'      "set": [\n        {sites}\n      ],\n'
                    f'      "n_modes": {len(b.set.sites)},\n'
                    f'      "birth_x": {b.birth},\n'
-                   f'      "samples": [{samples[c]}\n        ]\n      ]\n    }}')
+                   f'      "samples": [{text}\n        ]\n      ]\n    }}')
             i += 1
     yield "\n  ]\n}\n"
 

@@ -410,58 +410,80 @@ def test_tree_samples_strictly_above_birth_and_exact_energies():
         assert np.array_equal(branch.mu_over_f, expected)
 
 
+def tree_rows(tree):
+    """The tree-wide rows of `tree.blocks` in order, each with its block's
+    first grid index."""
+    return [(tree.x_grid.size - block.shape[1], row)
+            for block in tree.blocks for row in block]
+
+
 @pytest.mark.parametrize("samples", [1024, 1000, 7])
 def test_tree_energies_per_threshold_block_are_exact(samples):
     tree = bifurcation_tree(0.0, 20.0, samples=samples)
     assert len(tree.branches) == counting_function(20) + 1
     assert len(tree.blocks) == len(tree.curves) == 20
-    start = 0
+    rows = tree_rows(tree)
+    # one row per distinct (N, sum S) in the whole tree
+    keys = {(b.set.cardinality, sum(b.set.sites)) for b in tree.branches}
+    assert len(rows) == len(keys)
+    start = offset = 0
     for n, (block, curve) in enumerate(zip(tree.blocks, tree.curves)):
         assert len(curve) == q_distinct(n)
         born = tree.branches[start:start + len(curve)]
-        # one block row per distinct (N, sum S)
-        keys = {(b.set.cardinality, sum(b.set.sites)) for b in born}
-        assert len(block) == len(keys)
+        # block n holds the curves first seen at threshold n, sampled from
+        # its first grid point and numbered on from the blocks before
+        assert block.shape[1] == born[0].xs.size
+        assert set(curve[curve >= offset].tolist()) == set(
+            range(offset, offset + len(block)))
+        offset += len(block)
         for branch, row in zip(born, curve):
             assert branch.birth == n
             m = branch.set.cardinality
             expected = branch.xs / m + sum(branch.set.sites) / m
             assert np.array_equal(branch.mu_over_f, expected)
-            # the curve's row of the block of its birth threshold
-            assert np.shares_memory(branch.mu_over_f, block[row])
-            assert block.shape[1] == branch.xs.size
+            # the suffix of the curve's row from the branch's first point
+            first, values = rows[row]
+            assert np.shares_memory(branch.mu_over_f, values)
+            assert np.array_equal(branch.mu_over_f,
+                                  values[values.size - branch.xs.size:])
+            assert first <= tree.x_grid.size - branch.xs.size
         start += len(curve)
     assert start == len(tree.branches)
 
 
 @pytest.mark.parametrize("x_min, x_max, samples, branches, curves", [
-    (0.0, 30.0, 1001, 1739, 711), (0.0, 24.0, 1001, 640, 374),
-    (51.0, 52.0, 2, 35680, 3417),
+    (0.0, 30.0, 1001, 1739, 317), (0.0, 24.0, 1001, 640, 195),
+    (51.0, 52.0, 2, 35680, 1033),
 ])
 def test_branches_on_one_curve_share_one_block_row(x_min, x_max, samples,
                                                    branches, curves):
-    # mu/f = x/N + sum(S)/N: the branches of a block with equal N and sum S
-    # share one row, bit-identical to their own xs / N + sum(S) / N
+    # mu/f = x/N + sum(S)/N: the branches with equal N and sum S share one
+    # row of the whole tree, whatever their threshold, each reading the
+    # suffix from its own first grid point, bit-identical to its own
+    # xs / N + sum(S) / N; the branches of one threshold on one curve share
+    # one view
     tree = bifurcation_tree(x_min, x_max, samples=samples)
-    first_sets = set()  # the set of each row's first branch
+    rows = tree_rows(tree)
+    keys = {}  # (N, sum S) -> its row
     start = 0
-    for block, curve in zip(tree.blocks, tree.curves):
-        born = tree.branches[start:start + len(curve)]
-        rows, firsts = {}, {}
-        for b, row in zip(born, curve.tolist()):
+    for curve in tree.curves:
+        views = {}
+        for b, row in zip(tree.branches[start:start + len(curve)],
+                          curve.tolist()):
             n, total = key = (b.set.cardinality, sum(b.set.sites))
-            assert rows.setdefault(key, row) == row
-            firsts.setdefault(row, b.set.sites)
+            assert keys.setdefault(key, row) == row
             assert b.mu_over_f.tobytes() == (b.xs / n + total / n).tobytes()
-        # distinct keys get distinct rows, numbered in order of first
-        # appearance, and every row has a branch
-        assert list(rows.values()) == list(range(len(block)))
-        first_sets.update(firsts.values())
+            assert np.shares_memory(b.mu_over_f, rows[row][1])
+            assert views.setdefault(row, b.mu_over_f) is b.mu_over_f
         start += len(curve)
-    assert (len(tree.branches), sum(map(len, tree.blocks))) == (branches,
-                                                                curves)
-    # equal N and sum S, born at 6 and at 9: two curves, one per block
-    assert {(0, 2, 4), (0, 1, 5)} <= first_sets
+    # distinct keys get distinct rows, numbered in order of first
+    # appearance, and every row has a branch
+    assert list(keys.values()) == list(range(len(rows)))
+    assert (len(tree.branches), len(rows)) == (branches, curves)
+    # equal N and sum S, born at 6 and at 9: one row, first seen at 6
+    pair = [b for b in tree.branches if b.set.sites in ((0, 2, 4), (0, 1, 5))]
+    assert [b.birth for b in pair] == [6, 9]
+    assert np.shares_memory(pair[0].mu_over_f, pair[1].mu_over_f)
 
 
 def test_tree_branches_are_views_of_a_read_only_grid():
