@@ -16,10 +16,10 @@ of `build_state` and the Newton continuation both evaluate.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from itertools import repeat
+from functools import cached_property
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -209,7 +209,7 @@ class Branch:
 
 @dataclass(frozen=True)
 class BifurcationTree:
-    """Branches in threshold order, with each distinct energy curve held once.
+    """Sets in threshold order, with each distinct energy curve held once.
 
     mu/f = x/N + sum(S)/N depends on a set only through N and sum S, so the
     branches lie on fewer curves than there are branches, and one curve is
@@ -217,18 +217,32 @@ class BifurcationTree:
     order of first appearance.  `blocks[n]` is the (curves, samples) array
     of mu/f of the curves first seen at threshold n, sampled from n's first
     grid point on (it may have no rows), and its rows follow those of the
-    blocks before.  `curves[n]` holds the tree-wide row of each branch born
-    at n, in branch order; a branch's `mu_over_f` is the suffix of that row
-    from its own first grid point, one view shared by the branches of
-    threshold n on the curve.  Every row is computed as xs / N, then
-    += sum(S) / N, elementwise from N and sum S alone, so each suffix is
-    bit for bit the branch's own xs / N + sum(S) / N.
+    blocks before.  `curves[n]` holds the tree-wide row of each set born
+    at n, in set order.  `branches`, built on first read, gives each set's
+    `mu_over_f` as the suffix of that row from its first grid point, one
+    view shared by the branches of threshold n on the curve.  Every row is
+    computed as xs / N, then += sum(S) / N, elementwise from N and sum S
+    alone, so each suffix is bit for bit its branch's xs / N + sum(S) / N.
     """
 
-    branches: list[Branch]
+    sets: list[SolutionSet] = field(repr=False)
     x_grid: np.ndarray = field(repr=False)
     blocks: list[np.ndarray] = field(repr=False)
     curves: list[np.ndarray] = field(repr=False)
+
+    @cached_property
+    def branches(self) -> list[Branch]:
+        """One `Branch` per set, in set order, built on first read."""
+        rows, starts, branches = [], [], []  # starts[c]: row c's first grid index
+        for birth, (block, curve) in enumerate(zip(self.blocks, self.curves)):
+            k = self.x_grid.size - block.shape[1]
+            rows += list(block)
+            starts += [k] * len(block)
+            views = {c: rows[c][k - starts[c]:] for c in np.unique(curve).tolist()}
+            born = self.sets[len(branches):len(branches) + len(curve)]
+            branches.extend(map(Branch, born, repeat(birth), repeat(self.x_grid[k:]),
+                                map(views.__getitem__, curve.tolist())))
+        return branches
 
 
 def complementary_set(sset: SolutionSet) -> SolutionSet:
@@ -329,13 +343,14 @@ def enumerate_solution_sets(x) -> list[SolutionSet]:
     out: list[SolutionSet] = []
     for n in range(math.ceil(x)):
         # a partition's parts are distinct ints rising from 0, so each
-        # reflection, read backwards, is a valid set in ascending order
-        batch = [tuple([parts[-1] - p for p in reversed(parts)])
-                 for parts in enumerate_distinct_partitions(n)]
-        # by cardinality, then sites: sorted, then stably by length
-        batch.sort()
-        batch.sort(key=len)
-        out.extend(map(SolutionSet._trusted, batch))
+        # reflection, read backwards, ascends; one sorted bucket per size
+        buckets = {}
+        for parts in enumerate_distinct_partitions(n):
+            top = parts[-1]
+            buckets.setdefault(len(parts), []).append(
+                tuple([top - p for p in reversed(parts)]))
+        for size in sorted(buckets):
+            out += map(SolutionSet._trusted, sorted(buckets[size]))
     return out
 
 
@@ -364,7 +379,7 @@ def bifurcation_tree(x_min, x_max, samples: int = DEFAULT_TREE_SAMPLES
     of that suffix.  The q(n) branches born at threshold n share `xs`.
     Their energies are rows of the whole tree, one per distinct (N, sum S):
     `blocks[n]` holds those first seen at n, and `curves[n]` gives each
-    branch's row (see `BifurcationTree`).
+    set's row; the tree's `branches` are built on first read.
     A tree of more than MAX_TREE_SAMPLES samples is refused before any set
     is enumerated.
     """
@@ -387,34 +402,18 @@ def bifurcation_tree(x_min, x_max, samples: int = DEFAULT_TREE_SAMPLES
                      x_min, x_max)
     # the sets come in threshold order, q[n] of them born at threshold n
     sets = enumerate_solution_sets(x_max)
-    branches, blocks, curves = [], [], []
+    blocks, curves = [], []
     index = {}  # (N, sum S) -> its tree-wide row, in order of first appearance
-    rows, starts = [], []  # each row's view and its block's first grid index
-    for birth, (q_n, k) in enumerate(zip(q, first.tolist())):
-        born = sets[len(branches):len(branches) + q_n]
-        xs = grid[k:]
+    born = iter(sets)
+    for q_n, k in zip(q, first.tolist()):
         seen = len(index)
-        curve = [index.setdefault((len(sset.sites), sum(sset.sites)), len(index))
-                 for sset in born]
+        curves.append(np.array([
+            index.setdefault((len(sset.sites), sum(sset.sites)), len(index))
+            for sset in islice(born, q_n)]))
         # the (N, sum S) first seen here, as columns; there may be none
-        new = np.array(list(index)[seen:], dtype=float).reshape(-1, 2)
-        n, sums = new.T[..., None]
+        n, sums = np.array(list(index)[seen:], dtype=float).reshape(-1, 2).T[..., None]
         # sum(S) and N are exact floats; the in-place add allocates once
-        mus = xs / n
+        mus = grid[k:] / n
         mus += sums / n
         blocks.append(mus)
-        ids = np.array(curve)
-        curves.append(ids)
-        # the rows sampled from before k are a prefix, as starts rises; each
-        # of this threshold's curves among them gets one view from k on,
-        # shared by its branches
-        early = bisect_left(starts, k)
-        rows += list(mus)
-        starts += [k] * len(mus)
-        views = rows.copy()
-        for c in np.unique(ids[ids < early]).tolist():
-            views[c] = rows[c][k - starts[c]:]
-        branches.extend(map(Branch, born, repeat(birth), repeat(xs),
-                            map(views.__getitem__, curve)))
-    return BifurcationTree(branches=branches, x_grid=grid, blocks=blocks,
-                           curves=curves)
+    return BifurcationTree(sets, grid, blocks, curves)

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -211,32 +212,30 @@ def _tree_csv(tree):
     formatted once into one list of mu texts, in tree-wide row order, and
     every branch on a curve, whatever its threshold, takes its text from
     there by `tree.curves`; each branch's text before and after mu is made
-    once.
+    once, from `tree.sets`.
     """
     yield "x,branch_id,set,mu_over_f,n_modes,birth_x\n"
-    size = tree.x_grid.size
     # one int object per tree-wide row, shared by every threshold's getter
     ids = list(range(sum(map(len, tree.blocks))))
+    # one label template per cardinality up to the last set's, the largest,
+    # as a set of N sites is born at N(N-1)/2 or later
+    labels = ["+".join(["%d"] * n) for n in range(len(tree.sets[-1].sites) + 1)]
     # per threshold: its first grid index, its block's columns, the getter
     # of its branches' mu texts, and the text of its rows as four pieces
     # per branch, x, ",id,label,", mu and ",N,birth\n", x and mu filled in
     # at each grid point
     groups = []
-    start = 0
+    branches = enumerate(sset.sites for sset in tree.sets)
     for birth, (block, curve) in enumerate(zip(tree.blocks, tree.curves)):
-        tails = {}  # one ",N,birth\n" per N
+        tails = [f",{n},{birth}\n" for n in range(len(labels))]
         pieces = []
-        for i, b in enumerate(tree.branches[start:start + len(curve)], start):
-            sites = b.set.sites
-            n = len(sites)
-            pieces += ["", f",{i},{'+'.join(map(str, sites))},", "",
-                       tails.setdefault(n, f",{n},{birth}\n")]
+        for i, sites in islice(branches, len(curve)):
+            pieces += ["", f",{i},{labels[len(sites)] % sites},", "", tails[len(sites)]]
         rows = list(map(ids.__getitem__, curve.tolist()))
         # itemgetter of one index returns the item, not a 1-tuple
         pick = (itemgetter(*rows) if len(rows) > 1
                 else itemgetter(slice(rows[0], rows[0] + 1)))
-        groups.append((size - block.shape[1], block.T, pick, pieces))
-        start += len(curve)
+        groups.append((tree.x_grid.size - block.shape[1], block.T, pick, pieces))
     for k, x in enumerate(tree.x_grid.tolist()):
         x_text = fmt(x)
         texts = []
@@ -255,32 +254,34 @@ def _tree_json(tree):
 
     Floats are the repr of Python floats, as json writes them.  Each grid
     point's repr is made once and shared by every branch's samples.  Each
-    curve's samples text is made once per birth threshold, from the
-    `mu_over_f` of its first branch there, and shared by every branch of
-    that threshold on the curve; it is not kept across thresholds, so only
-    one threshold's texts are held at a time.
+    curve's samples text is made once per birth threshold, from the suffix
+    of its row in `tree.blocks` from that threshold's first grid point,
+    and shared by every branch of that threshold on the curve; it is not kept
+    across thresholds, so only one threshold's texts are held at a time.
     """
     x_reprs = [repr(x) for x in tree.x_grid.tolist()]
     yield ('{\n  "x_grid": [\n    ' + ",\n    ".join(x_reprs)
            + '\n  ],\n  "branches": [')
     heads = [f"\n        [\n          {x},\n          " for x in x_reprs]
-    i = 0
-    for curve in tree.curves:
+    rows = []  # each tree-wide row of mu/f with its block's first grid index
+    branches = enumerate(tree.sets)
+    for birth, (block, curve) in enumerate(zip(tree.blocks, tree.curves)):
+        k = len(heads) - block.shape[1]
+        rows += [(k, row) for row in block]
         samples = {}  # tree-wide row -> its samples text
-        for c in curve.tolist():
-            b = tree.branches[i]
+        for c, (i, sset) in zip(curve.tolist(), islice(branches, len(curve))):
             text = samples.get(c)
             if text is None:
+                first, row = rows[c]
                 text = samples[c] = "\n        ],".join([
                     f"{head}{mu!r}" for head, mu in
-                    zip(heads[len(heads) - b.xs.size:], b.mu_over_f.tolist())])
-            sites = ",\n        ".join(map(str, b.set.sites))
+                    zip(heads[k:], row[k - first:].tolist())])
+            sites = ",\n        ".join(map(str, sset.sites))
             yield (f'{"," if i else ""}\n    {{\n      "id": {i},\n'
                    f'      "set": [\n        {sites}\n      ],\n'
-                   f'      "n_modes": {len(b.set.sites)},\n'
-                   f'      "birth_x": {b.birth},\n'
+                   f'      "n_modes": {len(sset.sites)},\n'
+                   f'      "birth_x": {birth},\n'
                    f'      "samples": [{text}\n        ]\n      ]\n    }}')
-            i += 1
     yield "\n  ]\n}\n"
 
 

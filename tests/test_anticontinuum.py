@@ -22,6 +22,7 @@ from starktree import (
     counting_function,
     dnls_residual,
     energy_of_set,
+    enumerate_distinct_partitions,
     enumerate_solution_sets,
     q_distinct,
 )
@@ -345,6 +346,27 @@ def test_enumerated_sets_of_the_enum_slice_equal_validated_ones():
         assert min(s.sites) == 0
     keys = [(birth_threshold(s), len(s.sites), s.sites) for s in sets]
     assert keys == sorted(keys)
+
+
+def test_enumeration_order_is_the_sorted_then_stable_by_length_order():
+    # the order the enumerator made by two sorts of each threshold's
+    # reflected partitions: sorted, then stably by cardinality
+    def reference(x):
+        sets = []
+        for n in range(math.ceil(x)):
+            batch = [tuple(parts[-1] - p for p in reversed(parts))
+                     for parts in enumerate_distinct_partitions(n)]
+            batch.sort()
+            batch.sort(key=len)
+            sets += batch
+        return sets
+
+    for x in [k / 2 for k in range(1, 61)] + [52]:
+        sites = [s.sites for s in enumerate_solution_sets(x)]
+        assert sites == reference(x)
+        assert all(type(t) is tuple and all(type(site) is int for site in t)
+                   for t in sites)
+    assert len(sites) == 35680
 
 
 def test_enumerate_all_admissible_and_canonical():

@@ -248,12 +248,11 @@ def test_a_curve_first_seen_inside_the_range_is_reused_later():
 
 def test_tree_slice_memory_held_and_streamed():
     # the enum workload's 35,680-branch slice on 1,033 curves.  Measured on
-    # Python 3.11 and numpy 2.4, the tree holds 6.8-7.7 MB, as what ran
-    # before varies, and streaming its CSV peaks 4.56 MB above that; with
-    # one row per threshold and curve it was 7.0-7.9 MB and 4.62 MB.  One
-    # mu view per branch holds 10.6-11.5 MB, and a fresh int per tree-wide
-    # row id in the CSV getters peaks 5.28 MB above the tree: each breaks
-    # a bound.
+    # Python 3.11 and numpy 2.4, the tree holds 4.5 MB, its sets, grid and
+    # curve arrays, and streaming its CSV peaks 4.6 MB above that.  With a
+    # `Branch` per branch built eagerly it held 6.8-8.5 MB, and 10.6-11.5 MB
+    # with one mu view per branch besides; a fresh int per tree-wide row id
+    # in the CSV getters peaks 5.28 MB above the tree: each breaks a bound.
     bifurcation_tree(51.0, 52.0, samples=2)  # first-call allocations
     tracemalloc.start()
     try:
@@ -265,9 +264,35 @@ def test_tree_slice_memory_held_and_streamed():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(tree.branches) == 35680
-    assert held < 9_000_000
+    assert len(tree.sets) == 35680
+    assert held < 6_000_000
     assert peak - held < 5_000_000
+
+
+def test_tree_cli_builds_no_branch_and_the_library_builds_them_once(
+        monkeypatch, capsys):
+    # the writers read the sets and the curve arrays; a Branch is built
+    # only when a library caller reads `branches`, and only once
+    def branch_must_not_be_built(*args, **kwargs):
+        raise AssertionError("the tree CLI built a Branch")
+
+    trees = []
+
+    def kept_tree(*args, **kwargs):
+        trees.append(bifurcation_tree(*args, **kwargs))
+        return trees[-1]
+
+    monkeypatch.setattr(anticontinuum, "Branch", branch_must_not_be_built)
+    monkeypatch.setattr(cli, "bifurcation_tree", kept_tree)
+    for fmt_name in ("csv", "json"):
+        assert run(["tree", "--x-min", "0", "--x-max", "12", "--samples",
+                    "101", "--format", fmt_name]) == 0
+    capsys.readouterr()
+    assert "branches" not in vars(trees[0])
+    monkeypatch.undo()
+    branches = trees[0].branches
+    assert [b.set for b in branches] == trees[0].sets
+    assert trees[0].branches is branches
 
 
 def test_tree_is_written_in_chunks():
