@@ -16,10 +16,11 @@ of `build_state` and the Newton continuation both evaluate.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -76,12 +77,15 @@ class SolutionSet:
         object.__setattr__(self, "sites", tuple(sorted(sites)))
 
     @classmethod
-    def _trusted(cls, sites: tuple[int, ...]) -> "SolutionSet":
-        """The set of `sites`, a tuple of distinct ints already in ascending
-        order, stored as given: for sets that are valid by construction."""
-        sset = object.__new__(cls)
-        object.__setattr__(sset, "sites", sites)
-        return sset
+    def _trusted(cls, sites: list[tuple[int, ...]]) -> list["SolutionSet"]:
+        """One set per entry of `sites`, each a tuple of distinct ints
+        already in ascending order, stored as given without the checks: the
+        batch constructor of sets that are valid by construction.  The
+        slot's own setter, which the frozen `__setattr__` does not guard,
+        fills each new instance."""
+        sets = list(map(object.__new__, repeat(cls, len(sites))))
+        deque(map(cls.sites.__set__, sets, sites), maxlen=0)
+        return sets
 
     @property
     def cardinality(self) -> int:
@@ -332,6 +336,11 @@ def enumerate_solution_sets(x) -> list[SolutionSet]:
     reflection.  Ordered by threshold, then cardinality, then sites; length
     is counting_function(x) + 1.  More than MAX_ENUMERATION sets are
     refused before any is built.
+
+    Each threshold's partitions are bucketed by size, and each bucket is
+    one int array: reflected as a whole, ordered by one lexsort, turned
+    back into tuples of ints by one `tolist` and wrapped by one batch
+    `SolutionSet._trusted`.
     """
     x = check_real(x, "ratio", above=0)
     count = counting_function(x) + 1
@@ -342,15 +351,18 @@ def enumerate_solution_sets(x) -> list[SolutionSet]:
         )
     out: list[SolutionSet] = []
     for n in range(math.ceil(x)):
-        # a partition's parts are distinct ints rising from 0, so each
-        # reflection, read backwards, ascends; one sorted bucket per size
         buckets = {}
         for parts in enumerate_distinct_partitions(n):
-            top = parts[-1]
-            buckets.setdefault(len(parts), []).append(
-                tuple([top - p for p in reversed(parts)]))
+            buckets.setdefault(len(parts), []).append(parts)
         for size in sorted(buckets):
-            out += map(SolutionSet._trusted, sorted(buckets[size]))
+            bucket = buckets[size]
+            rows = np.fromiter(chain.from_iterable(bucket), dtype=np.int64,
+                               count=len(bucket) * size).reshape(-1, size)
+            # each row {max - l}, read backwards so that it ascends
+            rows = rows[:, -1:] - rows[:, ::-1]
+            # lexsort's last key is its first: column 0, then 1, ...
+            rows = rows[np.lexsort(rows.T[::-1])]
+            out += SolutionSet._trusted(list(map(tuple, rows.tolist())))
     return out
 
 

@@ -150,13 +150,14 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
 
     Where the band half-width b is 0 the trace is the closed form
     c0 exp(i k rate), rate = dt (l - 2 beta/f + nu/f |c0|^2), with no
-    time loop.  Otherwise each stage applies the U of _propagator: one dense
-    product on a window of at most 4b+5 sites, else a sum over U's band.
-    Dense and band windows share one time loop, in which only that linear
-    map differs.  The stages write into buffers made once per call, the
-    last straight into the step's row of the trace, so a step allocates
-    no data.  The propagator buffers are freed on return, before evolve's
-    ledger runs.
+    time loop, evaluated on the span of c0's occupied sites only; the sites
+    outside it are exactly 0.  Otherwise each stage applies the U of
+    _propagator: one dense product on a window of at most 4b+5 sites, else
+    a sum over U's band.  Dense and band windows share one time loop, in
+    which only that linear map differs.  The stages write into buffers made
+    once per call, the last straight into the step's row of the trace, so a
+    step allocates no data.  The propagator buffers are freed on return,
+    before evolve's ledger runs.
     """
     beta, nu, f = params.beta, params.nu, params.f
     # Yoshida's triple jump: Strang steps of w1 dt, w0 dt and w1 dt; w0 is
@@ -169,14 +170,19 @@ def _split_steps(c0: np.ndarray, params: LatticeParams, dt: float,
     if b == 0:
         # U is the diagonal phase of H, which commutes with the nonlinear
         # phase and keeps |c_l|, so step k turns c0 by k times one per-site
-        # angle; the angles, then their cosines and sines, are written in
-        # place, so no trace-sized temporary is made
-        rate = dt * (params.window_sites - 2.0 * beta / f
-                     + nu / f * np.abs(c0) ** 2)
-        np.multiply.outer(np.arange(n_steps + 1), rate, out=states.imag)
-        np.cos(states.imag, out=states.real)
-        np.sin(states.imag, out=states.imag)
-        states *= c0
+        # angle, and an empty site stays exactly 0.  On the occupied span
+        # [first, last] the angles, then their cosines and sines, are
+        # written in place, so no trace-sized temporary is made
+        first, last = np.flatnonzero(c0)[[0, -1]]
+        states[:, :first] = 0.0
+        states[:, last + 1:] = 0.0
+        span, c_span = states[:, first:last + 1], c0[first:last + 1]
+        rate = dt * (params.window_sites[first:last + 1] - 2.0 * beta / f
+                     + nu / f * np.abs(c_span) ** 2)
+        np.multiply.outer(np.arange(n_steps + 1), rate, out=span.imag)
+        np.cos(span.imag, out=span.real)
+        np.sin(span.imag, out=span.imag)
+        span *= c_span
         return states
     states[0] = c0
     outer = _propagator(params, w1 * dt, b)

@@ -39,8 +39,11 @@ def _q_table(nmax: int) -> list[int]:
     gives Euler's pentagonal series (Gauss), so
     q(m) = e(m) + 2 sum_{k >= 1, k^2 <= m} (-1)^(k+1) q(m - k^2), where
     e(m) = (-1)^j at the generalized pentagonal numbers m = j(3j-1)/2 and 0
-    elsewhere.  Exact integers, O(nmax^1.5).  Built per call so concurrent
-    callers never share mutable state.
+    elsewhere.  The alternating terms are added in pairs,
+    q(m - k^2) - q(m - (k+1)^2) for odd k, with a lone last odd term where
+    (k+1)^2 > m, and the sum is doubled once per m, so no term is
+    multiplied by its sign.  Exact integers, O(nmax^1.5).  Built per call
+    so concurrent callers never share mutable state.
     """
     q = [0] * (nmax + 1)
     # e(m), with j and -j visited together
@@ -51,16 +54,18 @@ def _q_table(nmax: int) -> list[int]:
         if j * (3 * j + 1) // 2 <= nmax:
             q[j * (3 * j + 1) // 2] = sign
         j += 1
-    squares = [k * k for k in range(1, math.isqrt(nmax) + 1)]
+    # (k^2, (k+1)^2) for odd k, up to the first pair reaching past nmax
+    squares = [k * k for k in range(1, math.isqrt(nmax) + 3)]
+    pairs = list(zip(squares[::2], squares[1::2]))
     for m in range(1, nmax + 1):
         acc = 0
-        sign = 2
-        for square in squares:
-            if square > m:
+        for odd, even in pairs:
+            if even > m:
+                if odd <= m:
+                    acc += q[m - odd]
                 break
-            acc += sign * q[m - square]
-            sign = -sign
-        q[m] += acc
+            acc += q[m - odd] - q[m - even]
+        q[m] += 2 * acc
     return q
 
 

@@ -341,11 +341,30 @@ def test_enumerated_sets_of_the_enum_slice_equal_validated_ones():
     assert len(sets) == counting_function(52) + 1 == 35680
     for s in sets:
         assert s == SolutionSet(s.sites)
+        assert hash(s) == hash(SolutionSet(s.sites))
         assert type(s.sites) is tuple
         assert all(type(site) is int for site in s.sites)
         assert min(s.sites) == 0
     keys = [(birth_threshold(s), len(s.sites), s.sites) for s in sets]
     assert keys == sorted(keys)
+
+
+def test_enumeration_calls_the_partitions_once_per_threshold(monkeypatch):
+    # the benchmark's tracer wraps enumerate_distinct_partitions in the
+    # anticontinuum namespace and counts its lists as `parts`, which must
+    # equal the 35,680 sets of the enum slice
+    calls = []
+    real = anticontinuum.enumerate_distinct_partitions
+
+    def spy(n):
+        out = real(n)
+        calls.append((n, len(out)))
+        return out
+
+    monkeypatch.setattr(anticontinuum, "enumerate_distinct_partitions", spy)
+    sets = enumerate_solution_sets(52)
+    assert [n for n, _ in calls] == list(range(52))
+    assert sum(size for _, size in calls) == len(sets) == 35680
 
 
 def test_enumeration_order_is_the_sorted_then_stable_by_length_order():

@@ -429,6 +429,28 @@ def test_zero_hopping_evolve_allocates_only_its_trace():
     assert peak - trace.states.nbytes < 1 << 20
 
 
+def test_zero_hopping_evolve_rotates_only_the_occupied_span():
+    # {0, 2} on a window centred on site 0, so evolve runs in the window's
+    # own frame; the closed form is evaluated on sites 0..2 only, and each
+    # occupied column must equal, bit for bit, the full-window formula
+    # c0_l (cos k theta_l + i sin k theta_l) written in place as before
+    p = LatticeParams(nu=2.5, f=1.0, beta=0.0, window=(-4, 4))
+    c0 = build_state(SolutionSet((0, 2)), p).coefficients.astype(complex)
+    dt, n_steps = DEFAULT_DT, 2048
+    trace = evolve(c0, p, t_end=n_steps * dt, dt=dt)
+    full = np.empty((n_steps + 1, p.window_size), dtype=complex)
+    rate = dt * (p.window_sites + p.nu / p.f * np.abs(c0) ** 2)
+    np.multiply.outer(np.arange(n_steps + 1), rate, out=full.imag)
+    np.cos(full.imag, out=full.real)
+    np.sin(full.imag, out=full.imag)
+    full *= c0
+    occupied = [0 - p.window[0], 2 - p.window[0]]
+    empty = [c for c in range(p.window_size) if c not in occupied]
+    assert np.array_equal(trace.states[:, occupied], full[:, occupied])
+    assert np.all(np.abs(trace.states[:, occupied]) > 0)
+    assert np.all(trace.states[:, empty] == 0)
+
+
 def test_evolve_flags_an_unresolved_step():
     # absurdly large steps must be reported: here dt nu/f = 75 rad a step.
     # A unitary step keeps the norm, so the norm alone cannot show it.

@@ -48,14 +48,18 @@ def brute_force_partition_list(n):
     return sorted(found)
 
 
-def odd_parts_count(n):
-    """Partitions of n into odd parts (repetition allowed): Euler's twin."""
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for part in range(1, n + 1, 2):
-        for total in range(part, n + 1):
+def odd_parts_table(nmax):
+    """Partitions of 0..nmax into odd parts (repetition allowed), Euler's
+    twin of the distinct-part counts."""
+    ways = [1] + [0] * nmax
+    for part in range(1, nmax + 1, 2):
+        for total in range(part, nmax + 1):
             ways[total] += ways[total - part]
-    return ways[n]
+    return ways
+
+
+def odd_parts_count(n):
+    return odd_parts_table(n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +92,11 @@ def test_q_distinct_frozen_large_value():
 
 def test_q_table_matches_knapsack_to_1500():
     assert partitions._q_table(1500) == knapsack_distinct_table(1500)
+
+
+def test_q_table_matches_euler_odd_parts_to_max_n():
+    # every table _q_table(n), n <= MAX_N, is a prefix of this one
+    assert partitions._q_table(partitions.MAX_N) == odd_parts_table(partitions.MAX_N)
 
 
 def test_q_distinct_domain():
