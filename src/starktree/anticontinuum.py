@@ -222,9 +222,10 @@ class BifurcationTree:
     of mu/f of the curves first seen at threshold n, sampled from n's first
     grid point on (it may have no rows), and its rows follow those of the
     blocks before.  `curves[n]` holds the tree-wide row of each set born
-    at n, in set order.  `branches`, built on first read, gives each set's
-    `mu_over_f` as the suffix of that row from its first grid point, one
-    view shared by the branches of threshold n on the curve.  Every row is
+    at n, in set order, and `rows[c]`, built on first read, is row c itself.
+    `branches`, built on first read, gives each set's `mu_over_f` as the
+    suffix of that row from its first grid point, one view shared by the
+    branches of threshold n on the curve.  Every row is
     computed as xs / N, then += sum(S) / N, elementwise from N and sum S
     alone, so each suffix is bit for bit its branch's xs / N + sum(S) / N.
     """
@@ -235,16 +236,21 @@ class BifurcationTree:
     curves: list[np.ndarray] = field(repr=False)
 
     @cached_property
+    def rows(self) -> list[np.ndarray]:
+        """The rows of `blocks` in tree-wide order, built on first read: row
+        c is curve c's mu/f from its first grid point to the grid's last,
+        so a branch's samples are the last `xs.size` entries of its row."""
+        return list(chain.from_iterable(self.blocks))
+
+    @cached_property
     def branches(self) -> list[Branch]:
         """One `Branch` per set, in set order, built on first read."""
-        rows, starts, branches = [], [], []  # starts[c]: row c's first grid index
+        branches = []
         for birth, (block, curve) in enumerate(zip(self.blocks, self.curves)):
-            k = self.x_grid.size - block.shape[1]
-            rows += list(block)
-            starts += [k] * len(block)
-            views = {c: rows[c][k - starts[c]:] for c in np.unique(curve).tolist()}
+            n = block.shape[1]  # the samples of each set born here, n >= 1
+            views = {c: self.rows[c][-n:] for c in np.unique(curve).tolist()}
             born = self.sets[len(branches):len(branches) + len(curve)]
-            branches.extend(map(Branch, born, repeat(birth), repeat(self.x_grid[k:]),
+            branches.extend(map(Branch, born, repeat(birth), repeat(self.x_grid[-n:]),
                                 map(views.__getitem__, curve.tolist())))
         return branches
 

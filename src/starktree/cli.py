@@ -13,6 +13,7 @@ written as it is made, so the whole text is never held in memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -35,7 +36,6 @@ from .anticontinuum import (
 from .continuation import (
     DEFAULT_CONTINUATION_STEPS,
     continue_in_beta,
-    dnls_residual,
     jacobian_diagonal_t0,
 )
 from .errors import (
@@ -190,7 +190,7 @@ def _coefficients(state: StationaryState) -> dict:
             for site, value in zip(state.params.window_sites, state.coefficients)}
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: argparse.Namespace) -> None:
     if args.x is None:
         raise DomainError("count needs --x")
     f_count = counting_function(args.x)
@@ -198,7 +198,6 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.x >= 1.0:
         n = math.floor(args.x)
         print(f"asymptotic F ~ {f_asymptotic(n):.6g} at n = {n}")
-    return EXIT_OK
 
 
 def _tree_csv(tree):
@@ -254,8 +253,8 @@ def _tree_json(tree):
 
     Floats are the repr of Python floats, as json writes them.  Each grid
     point's repr is made once and shared by every branch's samples.  Each
-    curve's samples text is made once per birth threshold, from the suffix
-    of its row in `tree.blocks` from that threshold's first grid point,
+    curve's samples text is made once per birth threshold, from the last
+    entries of its row in `tree.rows`, one per grid point of that threshold,
     and shared by every branch of that threshold on the curve; it is not kept
     across thresholds, so only one threshold's texts are held at a time.
     """
@@ -263,19 +262,16 @@ def _tree_json(tree):
     yield ('{\n  "x_grid": [\n    ' + ",\n    ".join(x_reprs)
            + '\n  ],\n  "branches": [')
     heads = [f"\n        [\n          {x},\n          " for x in x_reprs]
-    rows = []  # each tree-wide row of mu/f with its block's first grid index
     branches = enumerate(tree.sets)
     for birth, (block, curve) in enumerate(zip(tree.blocks, tree.curves)):
-        k = len(heads) - block.shape[1]
-        rows += [(k, row) for row in block]
+        n = block.shape[1]  # the samples of each set born here, n >= 1
         samples = {}  # tree-wide row -> its samples text
         for c, (i, sset) in zip(curve.tolist(), islice(branches, len(curve))):
             text = samples.get(c)
             if text is None:
-                first, row = rows[c]
                 text = samples[c] = "\n        ],".join([
                     f"{head}{mu!r}" for head, mu in
-                    zip(heads[k:], row[k - first:].tolist())])
+                    zip(heads[-n:], tree.rows[c][-n:].tolist())])
             sites = ",\n        ".join(map(str, sset.sites))
             yield (f'{"," if i else ""}\n    {{\n      "id": {i},\n'
                    f'      "set": [\n        {sites}\n      ],\n'
@@ -285,10 +281,9 @@ def _tree_json(tree):
     yield "\n  ]\n}\n"
 
 
-def cmd_tree(args: argparse.Namespace) -> int:
+def cmd_tree(args: argparse.Namespace) -> None:
     tree = bifurcation_tree(args.x_min, args.x_max, samples=args.samples)
     _emit(args.out, (_tree_json if args.format == "json" else _tree_csv)(tree))
-    return EXIT_OK
 
 
 def _resolve_set(args: argparse.Namespace
@@ -349,7 +344,7 @@ def _state_at_beta(args: argparse.Namespace, out: str | None, stream=None):
     return sset, signs, state, certificate
 
 
-def cmd_state(args: argparse.Namespace) -> int:
+def cmd_state(args: argparse.Namespace) -> None:
     sset, signs, state, certificate = _state_at_beta(args, args.out)
     lo, hi = state.params.window
     payload = {
@@ -362,13 +357,13 @@ def cmd_state(args: argparse.Namespace) -> int:
         "mu": state.mu,
         "coefficients": _coefficients(state),
         "certificate": certificate,
-        "residual_norm": float(np.max(np.abs(dnls_residual(state)))),
+        "residual_norm": float(np.max(np.abs(
+            state.params.residual(state.coefficients, state.mu)))),
     }
     _emit_json(args.out, payload)
-    return EXIT_OK
 
 
-def cmd_continue(args: argparse.Namespace) -> int:
+def cmd_continue(args: argparse.Namespace) -> None:
     _, _, result, record = _continued(args, args.out)
     record.update({
         "status": "ok",
@@ -379,7 +374,6 @@ def cmd_continue(args: argparse.Namespace) -> int:
         "coefficients": _coefficients(result.state),
     })
     _emit_json(args.out, record)
-    return EXIT_OK
 
 
 def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
@@ -420,8 +414,12 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
 
 
 def _evolve_trace(args: argparse.Namespace, json_out: str | None):
-    """Pick the evolution mode: (trace, its default spectrum site, x).  A
-    failed continuation of --set writes its record to `json_out` or stderr."""
+    """Pick the evolution mode: (trace, its default spectrum site, x, the
+    beat periods `dynamics.beat_periods` predicts, or None).  Only the
+    set-less beating at zero hopping has a prediction: one stationary state
+    gives no beats, and at --beta > 0 the summed well states are not the
+    continued ones the closed form would need.  A failed continuation of
+    --set writes its record to `json_out` or stderr."""
     if args.initial is not None:
         # the state file fixes the model and the vector; an option it would
         # ignore is refused
@@ -447,9 +445,10 @@ def _evolve_trace(args: argparse.Namespace, json_out: str | None):
         params = _lattice_params(args, SolutionSet((j - 1, j, j + 1)))
         # params.ratio is 0.05/(0.05/x), which need not be x bit for bit
         x = params.ratio if args.x is None else args.x
-        return dynamics.beating_trace(j, params, args.t_end, args.dt), j, x
+        trace = dynamics.beating_trace(j, params, args.t_end, args.dt)
+        return trace, j, x, (None if params.beta > 0 else dynamics.beat_periods(x))
     trace = dynamics.evolve(vector, params, args.t_end, args.dt)
-    return trace, site, params.ratio
+    return trace, site, params.ratio, None
 
 
 def _evolve_csv(trace: dynamics.DynamicsTrace, stride: int):
@@ -467,7 +466,7 @@ def _evolve_csv(trace: dynamics.DynamicsTrace, stride: int):
         yield template % tuple(values)
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
+def cmd_evolve(args: argparse.Namespace) -> None:
     check_int(args.stride, "--stride", 1)
     json_out = None
     if args.out is not None:
@@ -477,17 +476,16 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                               "companion JSON; give the CSV another extension")
         # checked, as main checks --out, before anything is computed
         _writable_target(json_out)
-    trace, default_site, x = _evolve_trace(args, json_out)
+    trace, default_site, x, periods = _evolve_trace(args, json_out)
     site = default_site if args.site is None else args.site
     peaks = dynamics.spectrum(trace, site)
-    predicted = list(dynamics.beat_periods(x)) if x > 1.0 else None
 
     companion = {
         "site": site,
         "x": x,
-        "predicted_periods": predicted,
+        "predicted_periods": periods,
         "predicted_frequencies": (
-            [2.0 * math.pi / t for t in predicted] if predicted else None),
+            None if periods is None else [2.0 * math.pi / t for t in periods]),
         "peaks": [[f_, p_] for f_, p_ in peaks[:12]],
         "norm_drift": trace.norm_drift,
         "energy_drift": trace.energy_drift,
@@ -498,10 +496,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     _emit(args.out, _evolve_csv(trace, args.stride))
     _emit_json(json_out, companion, sys.stderr)
-    return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: it binds
+    each handler and default at build time and keeps no state between
+    parses."""
     parser = argparse.ArgumentParser(
         prog="starktree",
         description="Bifurcation trees and dynamics of tilted-lattice "
@@ -566,20 +567,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         # --out is refused before any work, not once the data is made
         if getattr(args, "out", None) is not None:
             _writable_target(args.out)
-        return args.handler(args)
+        args.handler(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items()
                     if isinstance(exc, kind))
+    return EXIT_OK
 
 
 def entry():

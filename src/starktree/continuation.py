@@ -81,7 +81,9 @@ def extended_jacobian(c: np.ndarray, mu: float,
 
 
 def dnls_residual(state: StationaryState) -> np.ndarray:
-    """Full stationary residual of a state, normalization row appended."""
+    """Full stationary residual of a state, normalization row appended:
+    `state.params.residual(state.coefficients, state.mu)`, which the
+    package itself calls directly."""
     return state.params.residual(state.coefficients, state.mu)
 
 
@@ -195,10 +197,10 @@ def continue_in_beta(sset: SolutionSet, params: LatticeParams, beta_target,
     base_params = replace(params, beta=0.0)
     state = build_state(sset, base_params, signs=signs)
     _, certificate = jacobian_diagonal_t0(state)
-    path = [(0.0, float(np.max(np.abs(dnls_residual(state)))), 0)]
+    c, mu = state.coefficients, state.mu
+    path = [(0.0, float(np.max(np.abs(base_params.residual(c, mu)))), 0)]
     if beta_target == 0.0:
         return ContinuationResult(state=state, path=path, certificate=certificate)
-    c, mu = state.coefficients, state.mu
     betas = [beta_target * k / steps for k in range(1, steps)] + [beta_target]
     for beta_k in betas:
         step_params = replace(params, beta=beta_k)

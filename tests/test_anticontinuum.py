@@ -451,19 +451,12 @@ def test_tree_samples_strictly_above_birth_and_exact_energies():
         assert np.array_equal(branch.mu_over_f, expected)
 
 
-def tree_rows(tree):
-    """The tree-wide rows of `tree.blocks` in order, each with its block's
-    first grid index."""
-    return [(tree.x_grid.size - block.shape[1], row)
-            for block in tree.blocks for row in block]
-
-
 @pytest.mark.parametrize("samples", [1024, 1000, 7])
 def test_tree_energies_per_threshold_block_are_exact(samples):
     tree = bifurcation_tree(0.0, 20.0, samples=samples)
     assert len(tree.branches) == counting_function(20) + 1
     assert len(tree.blocks) == len(tree.curves) == 20
-    rows = tree_rows(tree)
+    rows = tree.rows
     # one row per distinct (N, sum S) in the whole tree
     keys = {(b.set.cardinality, sum(b.set.sites)) for b in tree.branches}
     assert len(rows) == len(keys)
@@ -482,12 +475,14 @@ def test_tree_energies_per_threshold_block_are_exact(samples):
             m = branch.set.cardinality
             expected = branch.xs / m + sum(branch.set.sites) / m
             assert np.array_equal(branch.mu_over_f, expected)
-            # the suffix of the curve's row from the branch's first point
-            first, values = rows[row]
+            # the suffix of the curve's row from the branch's first point;
+            # the row starts no later and, as every row, ends at the grid's
+            # last point
+            values = rows[row]
             assert np.shares_memory(branch.mu_over_f, values)
             assert np.array_equal(branch.mu_over_f,
                                   values[values.size - branch.xs.size:])
-            assert first <= tree.x_grid.size - branch.xs.size
+            assert values.size >= branch.xs.size
         start += len(curve)
     assert start == len(tree.branches)
 
@@ -504,7 +499,7 @@ def test_branches_on_one_curve_share_one_block_row(x_min, x_max, samples,
     # xs / N + sum(S) / N; the branches of one threshold on one curve share
     # one view
     tree = bifurcation_tree(x_min, x_max, samples=samples)
-    rows = tree_rows(tree)
+    rows = tree.rows
     keys = {}  # (N, sum S) -> its row
     start = 0
     for curve in tree.curves:
@@ -514,7 +509,7 @@ def test_branches_on_one_curve_share_one_block_row(x_min, x_max, samples,
             n, total = key = (b.set.cardinality, sum(b.set.sites))
             assert keys.setdefault(key, row) == row
             assert b.mu_over_f.tobytes() == (b.xs / n + total / n).tobytes()
-            assert np.shares_memory(b.mu_over_f, rows[row][1])
+            assert np.shares_memory(b.mu_over_f, rows[row])
             assert views.setdefault(row, b.mu_over_f) is b.mu_over_f
         start += len(curve)
     # distinct keys get distinct rows, numbered in order of first

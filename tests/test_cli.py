@@ -15,8 +15,9 @@ import pytest
 
 import starktree
 from starktree import (DynamicsTrace, LatticeParams, SolutionSet,
-                       anticontinuum, bifurcation_tree, cli, continuation,
-                       continue_in_beta, q_distinct)
+                       anticontinuum, beat_periods, bifurcation_tree,
+                       birth_threshold, cli, continuation, continue_in_beta,
+                       q_distinct)
 from starktree.cli import fmt, load_state_vector, main
 
 
@@ -175,21 +176,34 @@ def test_tree_over_the_cap_is_refused_before_the_grid(monkeypatch, capsys,
     assert message in capsys.readouterr().err
 
 
-# The streamed writers against the text the standard library makes from the
-# same tree: csv.writer rows and json.dumps(indent=2).
+# The streamed writers against the text the standard library makes from
+# each set's samples, computed from the grid alone: csv.writer rows and
+# json.dumps(indent=2).
+
+
+def set_samples(tree):
+    """(set, birth, xs, mu/f) per set of the tree, in set order, from
+    `x_grid` alone: the grid points above the set's birth threshold, and
+    xs / N + sum(S) / N there, as the tree computes its rows."""
+    for sset in tree.sets:
+        birth = birth_threshold(sset)
+        xs = tree.x_grid[tree.x_grid > birth]
+        n = len(sset.sites)
+        yield sset, birth, xs, xs / n + sum(sset.sites) / n
 
 
 def tree_csv_oracle(tree):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["x", "branch_id", "set", "mu_over_f", "n_modes", "birth_x"])
+    samples = list(set_samples(tree))
     for k, x in enumerate(tree.x_grid):
-        for i, b in enumerate(tree.branches):
-            first = tree.x_grid.size - b.xs.size
+        for i, (sset, birth, xs, mus) in enumerate(samples):
+            first = tree.x_grid.size - xs.size
             if k >= first:
-                writer.writerow([fmt(x), i, "+".join(map(str, b.set.sites)),
-                                 fmt(b.mu_over_f[k - first]),
-                                 b.set.cardinality, fmt(b.birth)])
+                writer.writerow([fmt(x), i, "+".join(map(str, sset.sites)),
+                                 fmt(mus[k - first]), len(sset.sites),
+                                 fmt(birth)])
     return buffer.getvalue()
 
 
@@ -197,11 +211,10 @@ def tree_json_oracle(tree):
     payload = {
         "x_grid": [float(x) for x in tree.x_grid],
         "branches": [
-            {"id": i, "set": list(b.set.sites), "n_modes": b.set.cardinality,
-             "birth_x": b.birth,
-             "samples": [[float(x), float(m)]
-                         for x, m in zip(b.xs, b.mu_over_f)]}
-            for i, b in enumerate(tree.branches)
+            {"id": i, "set": list(sset.sites), "n_modes": len(sset.sites),
+             "birth_x": birth,
+             "samples": [[float(x), float(m)] for x, m in zip(xs, mus)]}
+            for i, (sset, birth, xs, mus) in enumerate(set_samples(tree))
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -234,6 +247,26 @@ def test_streamed_tree_matches_the_library_writers(tmp_path, capsys, name,
     assert out.read_text(encoding="utf-8") == expected
     assert run(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("x_min, x_max, samples",
+                         [*TREES.values(), ("51", "52", "2")],
+                         ids=[*TREES, "enum_slice"])
+def test_branch_samples_are_the_csv_rows_and_rows_the_block_rows(
+        x_min, x_max, samples):
+    tree = bifurcation_tree(float(x_min), float(x_max), samples=int(samples))
+    # the tree_samples count of perfbench/tracing.py against the data rows
+    # the CSV writer makes, one per branch sample
+    written = "".join(cli._tree_csv(tree)).count("\n") - 1
+    assert sum(b.xs.size for b in tree.branches) == written
+    # tree.rows lists the rows of the blocks, in order, as views of them
+    rows = iter(tree.rows)
+    for block in tree.blocks:
+        for block_row in block:
+            row = next(rows)
+            assert np.shares_memory(row, block_row)
+            assert np.array_equal(row, block_row)
+    assert next(rows, None) is None
 
 
 def test_a_curve_first_seen_inside_the_range_is_reused_later():
@@ -887,6 +920,36 @@ def test_evolve_site_defaults_per_mode_and_is_overridden(tmp_path, mode,
                     "--out", str(out)]) == 0
         companion = json.loads((tmp_path / "evolve.json").read_text())
         assert companion["site"] == site
+
+
+# (mode, whether its companion predicts beats): only the set-less beating
+# at zero hopping, where the closed form (2 pi, T1, T2) holds; one
+# stationary state gives no beats, and the beating at --beta > 0 peaks away
+# from the closed form
+@pytest.mark.parametrize("mode, predicts", [
+    (["--x", "1.5"], True),
+    (["--x", "1.5", "--beta", "0.05"], False),
+    (["--set", "0,1", "--x", "1.5"], False),
+    (["--initial", "{state}"], False),
+], ids=["beating", "beating_with_hopping", "set", "initial"])
+def test_evolve_predicts_beats_only_where_the_closed_form_holds(
+        tmp_path, mode, predicts):
+    state_path = tmp_path / "state.json"
+    assert run(["state", "--set", "0,1", "--x", "1.5",
+                "--out", str(state_path)]) == 0
+    mode = [a.replace("{state}", str(state_path)) for a in mode]
+    out = tmp_path / "evolve.csv"
+    assert run(["evolve", *mode, "--t-end", "3.2", "--out", str(out)]) == 0
+    companion = json.loads((tmp_path / "evolve.json").read_text())
+    assert companion["x"] == 1.5
+    if predicts:
+        periods = list(beat_periods(1.5))
+        assert companion["predicted_periods"] == periods
+        assert companion["predicted_frequencies"] == [2 * math.pi / t
+                                                      for t in periods]
+    else:
+        assert companion["predicted_periods"] is None
+        assert companion["predicted_frequencies"] is None
 
 
 @pytest.mark.parametrize("site, value, message", [

@@ -47,6 +47,14 @@ cases, and their drifts moved in the last digits (evolve_hopping: norm
 at beta = 0: its CSV is byte for byte the same, and only its JSON
 energy_drift moved, 6.27e-16 -> 7.84e-16.  evolve_beating,
 evolve_negative_mu and evolve_nu_f did not move.
+The out.json of evolve_hopping, evolve_initial, evolve_initial_site and
+evolve_set were re-recorded when the companion began to predict beat
+periods only for the set-less beating at zero hopping, where the closed
+form holds: each differs from the earlier JSON only in its
+"predicted_periods" and "predicted_frequencies", which were the beta = 0
+beating's (2 pi, T1, T2) from x and are now null, since one stationary
+state gives no beats.  Every CSV, and the JSON of evolve_beating, did not
+move.
 state_failed and evolve_set_failed were not recorded: their failed record
 must be byte for byte the `out` of continue_failed, the same inputs
 continued the same way, so they carry its digest.
@@ -170,7 +178,7 @@ GOLDEN = {
         "out":
             "048b836dc9cfc22fbadf1fc9fca1b663eaddc751ebf91b7d1db2578af21bba6d",
         "out.json":
-            "7ee3ba0dfdb876818e446dd99af31e064709962bd46993bd501b771985715b9a",
+            "23fd89eea1241d54f417bba47d93f26868b870c962c06bda604409ba74fad868",
     },
     "evolve_initial": {
         "rc": 0,
@@ -179,7 +187,7 @@ GOLDEN = {
         "out":
             "fa30269a31c7c4f4b33703689f6ad1549a04c8afc260deac715432e0de1b53d1",
         "out.json":
-            "6077e3446c824936a702a76773b7827e8726347a71e6b3f63f559c333f8de873",
+            "1552bbd99537968cd0edb578ab0afda4f221f42a8b4d491661c1f08e84df11f2",
     },
     "evolve_initial_site": {
         "rc": 0,
@@ -188,7 +196,7 @@ GOLDEN = {
         "out":
             "fa30269a31c7c4f4b33703689f6ad1549a04c8afc260deac715432e0de1b53d1",
         "out.json":
-            "52dbe4d2400c82b9b93e480ad236a79f716d57ad3c1381e47c5127d425cf2ff4",
+            "384eeb11bbe70cef37aa47d105d5193fdd580220865d4476299ae71995eaf326",
     },
     "evolve_negative_mu": {
         "rc": 0,
@@ -211,7 +219,7 @@ GOLDEN = {
         "out":
             "3c1fe668f55b9bcb04dc6002126fb8949cf84d1c5b972310f4a7dad8994f78f0",
         "out.json":
-            "8439deed5198139a696f35a03b3265262e7de64a3752d4500c6eee8b29f75854",
+            "cb47a468bf9eac2c8c46c2f068d678bb91ed921e135d6f71f81cf4d5f3ccc81a",
     },
     "evolve_set_failed": {
         "rc": 4,
