@@ -16,10 +16,9 @@ of `build_state` and the Newton continuation both evaluate.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -56,9 +55,8 @@ MAX_TREE_SAMPLES = 1 << 25
 MAX_WINDOW_SITES = 1 << 12
 
 
-@dataclass(frozen=True, slots=True)
-class SolutionSet:
-    """Finite set of occupied lattice sites, stored sorted.
+class SolutionSet(tuple):
+    """Finite set of occupied lattice sites: the ascending tuple of them.
 
     Canonical representatives have min = 0; the set moved j rungs down
     the ladder (min = j), built on the window moved by j
@@ -66,33 +64,32 @@ class SolutionSet:
     j*f.
     """
 
-    sites: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        sites = tuple(check_int(s, "site index") for s in self.sites)
+    def __new__(cls, sites):
+        sites = tuple(check_int(s, "site index") for s in sites)
         if not sites:
             raise DomainError("a solution set needs at least one site")
         if len(set(sites)) != len(sites):
             raise DomainError(f"duplicate sites in {sites}")
-        object.__setattr__(self, "sites", tuple(sorted(sites)))
+        return super().__new__(cls, sorted(sites))
 
     @classmethod
-    def _trusted(cls, sites: list[tuple[int, ...]]) -> list["SolutionSet"]:
-        """One set per entry of `sites`, each a tuple of distinct ints
-        already in ascending order, stored as given without the checks: the
-        batch constructor of sets that are valid by construction.  The
-        slot's own setter, which the frozen `__setattr__` does not guard,
-        fills each new instance."""
-        sets = list(map(object.__new__, repeat(cls, len(sites))))
-        deque(map(cls.sites.__set__, sets, sites), maxlen=0)
-        return sets
+    def _trusted(cls, sites: list[list[int]]) -> list["SolutionSet"]:
+        """One set per row of distinct ascending ints, wrapped unchecked."""
+        return list(map(partial(tuple.__new__, cls), sites))
+
+    @property
+    def sites(self) -> tuple[int, ...]:
+        """The sites as a plain tuple, a copy."""
+        return tuple(self)
 
     @property
     def cardinality(self) -> int:
-        return len(self.sites)
+        return len(self)
 
-    def __contains__(self, site):
-        return site in self.sites
+    def __repr__(self):
+        return f"SolutionSet(sites={tuple(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -178,8 +175,8 @@ class LatticeParams:
         """Params with the default window: support padded by
         DEFAULT_WINDOW_MARGIN sites."""
         return cls(nu=nu, f=f, beta=beta,
-                   window=(sset.sites[0] - DEFAULT_WINDOW_MARGIN,
-                           sset.sites[-1] + DEFAULT_WINDOW_MARGIN))
+                   window=(sset[0] - DEFAULT_WINDOW_MARGIN,
+                           sset[-1] + DEFAULT_WINDOW_MARGIN))
 
 
 @dataclass
@@ -261,15 +258,15 @@ def complementary_set(sset: SolutionSet) -> SolutionSet:
     Always contains 0 and has the same cardinality; an involution on
     canonical sets.
     """
-    top = sset.sites[-1]
-    return SolutionSet(tuple(top - s for s in sset.sites))
+    top = sset[-1]
+    return SolutionSet([top - s for s in sset])
 
 
 def birth_threshold(sset: SolutionSet) -> int:
     """Sum of the complementary set: the integer nu/f must strictly exceed
     for the branch to exist.  Translation invariant."""
-    top = sset.sites[-1]
-    return sum(top - s for s in sset.sites)
+    top = sset[-1]
+    return sum(top - s for s in sset)
 
 
 def admissible(sset: SolutionSet, x) -> bool:
@@ -280,8 +277,8 @@ def admissible(sset: SolutionSet, x) -> bool:
 def energy_of_set(sset: SolutionSet, nu, f) -> float:
     """Branch energy mu = nu/N + (f/N) sum(S)."""
     nu, f = check_real(nu, "nu", above=0), check_real(f, "f", above=0)
-    n = sset.cardinality
-    return nu / n + f * sum(sset.sites) / n
+    n = len(sset)
+    return nu / n + f * sum(sset) / n
 
 
 def consecutive_threshold(n_modes) -> int:
@@ -311,15 +308,15 @@ def build_state(sset: SolutionSet, params: LatticeParams,
             threshold=threshold,
         )
     lo, hi = params.window
-    if not (lo <= sset.sites[0] - MIN_WINDOW_MARGIN
-            and hi >= sset.sites[-1] + MIN_WINDOW_MARGIN):
+    if not (lo <= sset[0] - MIN_WINDOW_MARGIN
+            and hi >= sset[-1] + MIN_WINDOW_MARGIN):
         raise ConfigurationError(
             f"window {params.window} must pad support {sset.sites} "
             f"by >= {MIN_WINDOW_MARGIN} sites"
         )
-    sign_array = np.array(check_signs(signs, sset.cardinality))
+    sign_array = np.array(check_signs(signs, len(sset)))
     mu = energy_of_set(sset, params.nu, params.f)
-    sites = np.array(sset.sites)
+    sites = np.array(sset)
     coeff = np.zeros(params.window_size)
     # a squared amplitude rounded below zero gives NaN: the self-check fails
     with np.errstate(invalid="ignore"):
@@ -345,8 +342,8 @@ def enumerate_solution_sets(x) -> list[SolutionSet]:
 
     Each threshold's partitions are bucketed by size, and each bucket is
     one int array: reflected as a whole, ordered by one lexsort, turned
-    back into tuples of ints by one `tolist` and wrapped by one batch
-    `SolutionSet._trusted`.
+    back into lists of ints by one `tolist` and wrapped, each row by
+    `tuple.__new__`, by one batch `SolutionSet._trusted`.
     """
     x = check_real(x, "ratio", above=0)
     count = counting_function(x) + 1
@@ -368,7 +365,7 @@ def enumerate_solution_sets(x) -> list[SolutionSet]:
             rows = rows[:, -1:] - rows[:, ::-1]
             # lexsort's last key is its first: column 0, then 1, ...
             rows = rows[np.lexsort(rows.T[::-1])]
-            out += SolutionSet._trusted(list(map(tuple, rows.tolist())))
+            out += SolutionSet._trusted(rows.tolist())
     return out
 
 
@@ -426,7 +423,7 @@ def bifurcation_tree(x_min, x_max, samples: int = DEFAULT_TREE_SAMPLES
     for q_n, k in zip(q, first.tolist()):
         seen = len(index)
         curves.append(np.array([
-            index.setdefault((len(sset.sites), sum(sset.sites)), len(index))
+            index.setdefault((len(sset), sum(sset)), len(index))
             for sset in islice(born, q_n)]))
         # the (N, sum S) first seen here, as columns; there may be none
         n, sums = np.array(list(index)[seen:], dtype=float).reshape(-1, 2).T[..., None]

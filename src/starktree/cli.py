@@ -218,18 +218,18 @@ def _tree_csv(tree):
     ids = list(range(sum(map(len, tree.blocks))))
     # one label template per cardinality up to the last set's, the largest,
     # as a set of N sites is born at N(N-1)/2 or later
-    labels = ["+".join(["%d"] * n) for n in range(len(tree.sets[-1].sites) + 1)]
+    labels = ["+".join(["%d"] * n) for n in range(len(tree.sets[-1]) + 1)]
     # per threshold: its first grid index, its block's columns, the getter
     # of its branches' mu texts, and the text of its rows as four pieces
     # per branch, x, ",id,label,", mu and ",N,birth\n", x and mu filled in
     # at each grid point
     groups = []
-    branches = enumerate(sset.sites for sset in tree.sets)
+    branches = enumerate(tree.sets)
     for birth, (block, curve) in enumerate(zip(tree.blocks, tree.curves)):
         tails = [f",{n},{birth}\n" for n in range(len(labels))]
         pieces = []
-        for i, sites in islice(branches, len(curve)):
-            pieces += ["", f",{i},{labels[len(sites)] % sites},", "", tails[len(sites)]]
+        for i, sset in islice(branches, len(curve)):
+            pieces += ["", f",{i},{labels[len(sset)] % sset},", "", tails[len(sset)]]
         rows = list(map(ids.__getitem__, curve.tolist()))
         # itemgetter of one index returns the item, not a 1-tuple
         pick = (itemgetter(*rows) if len(rows) > 1
@@ -272,10 +272,10 @@ def _tree_json(tree):
                 text = samples[c] = "\n        ],".join([
                     f"{head}{mu!r}" for head, mu in
                     zip(heads[-n:], tree.rows[c][-n:].tolist())])
-            sites = ",\n        ".join(map(str, sset.sites))
+            sites = ",\n        ".join(map(str, sset))
             yield (f'{"," if i else ""}\n    {{\n      "id": {i},\n'
                    f'      "set": [\n        {sites}\n      ],\n'
-                   f'      "n_modes": {len(sset.sites)},\n'
+                   f'      "n_modes": {len(sset)},\n'
                    f'      "birth_x": {birth},\n'
                    f'      "samples": [{text}\n        ]\n      ]\n    }}')
     yield "\n  ]\n}\n"
@@ -304,7 +304,7 @@ def _continued(args: argparse.Namespace, out: str | None, stream=None):
     sset, params, signs = _resolve_set(args)
     steps = DEFAULT_CONTINUATION_STEPS if args.steps is None else args.steps
     record = {
-        "set": list(sset.sites),
+        "set": list(sset),
         "signs": list(signs),
         "nu": params.nu,
         "f": params.f,
@@ -348,7 +348,7 @@ def cmd_state(args: argparse.Namespace) -> None:
     sset, signs, state, certificate = _state_at_beta(args, args.out)
     lo, hi = state.params.window
     payload = {
-        "set": list(sset.sites),
+        "set": list(sset),
         "signs": list(signs),
         "nu": state.params.nu,
         "f": state.params.f,
@@ -433,7 +433,7 @@ def _evolve_trace(args: argparse.Namespace, json_out: str | None):
         _refuse(args, ("j",), "--j picks the well of the three-state "
                 "superposition, not of --set")
         sset, _, state, _ = _state_at_beta(args, json_out, sys.stderr)
-        vector, params, site = state.coefficients, state.params, sset.sites[0]
+        vector, params, site = state.coefficients, state.params, sset[0]
     else:  # three-state superposition around well j
         if args.x is None and (args.nu is None or args.f is None):
             raise DomainError("evolve needs --initial, --set, or --x for the "

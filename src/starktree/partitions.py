@@ -96,12 +96,15 @@ def enumerate_distinct_partitions(n) -> list[tuple[int, ...]]:
 
     def extend(parts: tuple[int, ...], remaining: int, smallest: int):
         # a part followed by more parts leaves remaining - part >= part + 1,
-        # so only parts up to (remaining - 1) // 2 are worth recursing on;
-        # the lone last part, remaining itself, sorts after all of them
-        for part in range(smallest, (remaining - 1) // 2 + 1):
+        # so parts up to (remaining - 1) // 2 lead on; from `leaves` on, too
+        # little is left for two more, and each ends in one two-part leaf
+        leaves = max(smallest, (remaining - 3) // 3 + 1)
+        for part in range(smallest, leaves):
             extend(parts + (part,), remaining - part, part + 1)
-        if remaining >= smallest:
-            out.append(parts + (remaining,))
+        out.extend([parts + (part, remaining - part)
+                    for part in range(leaves, (remaining - 1) // 2 + 1)])
+        # the lone last part, remaining >= smallest, sorts after all of them
+        out.append(parts + (remaining,))
 
     extend((0,), n, 1)
     return out

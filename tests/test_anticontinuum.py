@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import re
 from collections import Counter
 
@@ -65,6 +67,20 @@ def test_solution_set_sorts_and_validates():
             ((0, True), "site index must be an integer, got True")):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             SolutionSet(sites)
+
+
+def test_solution_set_is_the_sorted_tuple_of_its_sites():
+    s = SolutionSet((3, 0, 1))
+    assert isinstance(s, tuple)
+    assert s == (0, 1, 3)
+    assert hash(s) == hash((0, 1, 3))
+    assert repr(s) == "SolutionSet(sites=(0, 1, 3))"
+    assert type(s.sites) is tuple
+    with pytest.raises(AttributeError):
+        s.sites_copy = (0, 1, 3)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(twin) is SolutionSet
+        assert twin == s
 
 
 def test_lattice_params_validation():

@@ -281,11 +281,13 @@ def test_a_curve_first_seen_inside_the_range_is_reused_later():
 
 def test_tree_slice_memory_held_and_streamed():
     # the enum workload's 35,680-branch slice on 1,033 curves.  Measured on
-    # Python 3.11 and numpy 2.4, the tree holds 4.5 MB, its sets, grid and
-    # curve arrays, and streaming its CSV peaks 4.6 MB above that.  With a
-    # `Branch` per branch built eagerly it held 6.8-8.5 MB, and 10.6-11.5 MB
-    # with one mu view per branch besides; a fresh int per tree-wide row id
-    # in the CSV getters peaks 5.28 MB above the tree: each breaks a bound.
+    # Python 3.11 and numpy 2.4, the tree holds 4.06 MB, its sets (one tuple
+    # object each), grid and curve arrays, and streaming its CSV peaks
+    # 4.55 MB above that.  With a second object per set, a dataclass around
+    # the tuple of its sites, it held 4.72 MB; with a `Branch` per branch
+    # built eagerly 6.8-8.5 MB, and 10.6-11.5 MB with one mu view per branch
+    # besides; a fresh int per tree-wide row id in the CSV getters peaks
+    # 5.28 MB above the tree: each breaks a bound.
     bifurcation_tree(51.0, 52.0, samples=2)  # first-call allocations
     tracemalloc.start()
     try:
@@ -298,7 +300,7 @@ def test_tree_slice_memory_held_and_streamed():
     finally:
         tracemalloc.stop()
     assert len(tree.sets) == 35680
-    assert held < 6_000_000
+    assert held < 4_400_000
     assert peak - held < 5_000_000
 
 
