@@ -84,10 +84,6 @@ class SolutionSet(tuple):
         """The sites as a plain tuple, a copy."""
         return tuple(self)
 
-    @property
-    def cardinality(self) -> int:
-        return len(self)
-
     def __repr__(self):
         return f"SolutionSet(sites={tuple(self)!r})"
 
@@ -295,11 +291,15 @@ def build_state(sset: SolutionSet, params: LatticeParams,
     sum c^2 = 1 and the stationary equation at zero hopping hold
     identically and are checked together through `LatticeParams.residual`.
 
+    The state carries the params at beta = 0, the model it is stationary
+    in, whatever beta they were given with.
+
     Raises InadmissibleSetError below the birth threshold,
     ConfigurationError when the window does not pad the support by at
     least two sites, and DomainError where round-off breaks those checks
     or, just above the threshold, makes a squared amplitude negative.
     """
+    params = replace(params, beta=0.0)
     threshold = birth_threshold(sset)
     x = params.ratio
     if not x > threshold:
@@ -322,9 +322,9 @@ def build_state(sset: SolutionSet, params: LatticeParams,
     with np.errstate(invalid="ignore"):
         coeff[sites - lo] = sign_array * np.sqrt((mu - params.f * sites)
                                                  / params.nu)
-    # the stationary equation at beta = 0, whatever beta the params carry,
-    # and the normalization, both to NORMALIZATION_TOL
-    residual = np.max(np.abs(replace(params, beta=0.0).residual(coeff, mu)))
+    # the stationary equation at beta = 0 and the normalization, both to
+    # NORMALIZATION_TOL
+    residual = np.max(np.abs(params.residual(coeff, mu)))
     if not residual < NORMALIZATION_TOL:
         raise DomainError(f"set {sset.sites} at nu/f = {x} is beyond double "
                           f"precision (self-check over {NORMALIZATION_TOL})")

@@ -292,7 +292,7 @@ def _resolve_set(args: argparse.Namespace
     if args.set is None:
         raise DomainError(f"{args.command} needs --set")
     sset = SolutionSet(args.set)
-    return sset, _lattice_params(args, sset), _resolve_signs(args, sset.cardinality)
+    return sset, _lattice_params(args, sset), _resolve_signs(args, len(sset))
 
 
 def _continued(args: argparse.Namespace, out: str | None, stream=None):
@@ -308,12 +308,11 @@ def _continued(args: argparse.Namespace, out: str | None, stream=None):
         "signs": list(signs),
         "nu": params.nu,
         "f": params.f,
-        "beta_target": args.beta,
+        "beta_target": params.beta,
         "steps": steps,
     }
     try:
-        result = continue_in_beta(sset, params, args.beta, steps=steps,
-                                  signs=signs)
+        result = continue_in_beta(sset, params, steps=steps, signs=signs)
     except SolverError as exc:
         record.update({"status": "failed", "error": str(exc),
                        "path": exc.path})
@@ -414,12 +413,14 @@ def load_state_vector(path: str) -> tuple[np.ndarray, LatticeParams]:
 
 
 def _evolve_trace(args: argparse.Namespace, json_out: str | None):
-    """Pick the evolution mode: (trace, its default spectrum site, x, the
-    beat periods `dynamics.beat_periods` predicts, or None).  Only the
-    set-less beating at zero hopping has a prediction: one stationary state
-    gives no beats, and at --beta > 0 the summed well states are not the
-    continued ones the closed form would need.  A failed continuation of
-    --set writes its record to `json_out` or stderr."""
+    """Pick the evolution mode: (trace, its spectrum site, x, the beat
+    periods `dynamics.beat_periods` predicts, or None).  The site is --site
+    or the mode's default, and one outside the window is refused before
+    the integration runs.  Only the set-less beating at zero hopping has a
+    prediction: one stationary state gives no beats, and at --beta > 0 the
+    summed well states are not the continued ones the closed form would
+    need.  A failed continuation of --set writes its record to `json_out`
+    or stderr."""
     if args.initial is not None:
         # the state file fixes the model and the vector; an option it would
         # ignore is refused
@@ -440,15 +441,19 @@ def _evolve_trace(args: argparse.Namespace, json_out: str | None):
                               "three-state superposition")
         _refuse(args, ("signs", "seed", "steps"), "the three-state "
                 "superposition sums the all-plus zero-hopping states")
-        j = 0 if args.j is None else args.j
+        site = j = 0 if args.j is None else args.j
         # the default window pads the three sites j-1, j, j+1 the states occupy
         params = _lattice_params(args, SolutionSet((j - 1, j, j + 1)))
-        # params.ratio is 0.05/(0.05/x), which need not be x bit for bit
-        x = params.ratio if args.x is None else args.x
-        trace = dynamics.beating_trace(j, params, args.t_end, args.dt)
-        return trace, j, x, (None if params.beta > 0 else dynamics.beat_periods(x))
-    trace = dynamics.evolve(vector, params, args.t_end, args.dt)
-    return trace, site, params.ratio, None
+        vector = None
+    site = site if args.site is None else args.site
+    check_site(site, params.window)
+    if vector is not None:
+        trace = dynamics.evolve(vector, params, args.t_end, args.dt)
+        return trace, site, params.ratio, None
+    # params.ratio is 0.05/(0.05/x), which need not be x bit for bit
+    x = params.ratio if args.x is None else args.x
+    trace = dynamics.beating_trace(j, params, args.t_end, args.dt)
+    return trace, site, x, (None if params.beta > 0 else dynamics.beat_periods(x))
 
 
 def _evolve_csv(trace: dynamics.DynamicsTrace, stride: int):
@@ -476,8 +481,7 @@ def cmd_evolve(args: argparse.Namespace) -> None:
                               "companion JSON; give the CSV another extension")
         # checked, as main checks --out, before anything is computed
         _writable_target(json_out)
-    trace, default_site, x, periods = _evolve_trace(args, json_out)
-    site = default_site if args.site is None else args.site
+    trace, site, x, periods = _evolve_trace(args, json_out)
     peaks = dynamics.spectrum(trace, site)
 
     companion = {

@@ -180,28 +180,27 @@ def newton_solve(guess: StationaryState, beta) -> StationaryState:
                            set=guess.set if iters == 0 else None)
 
 
-def continue_in_beta(sset: SolutionSet, params: LatticeParams, beta_target,
+def continue_in_beta(sset: SolutionSet, params: LatticeParams, *,
                      steps: int = DEFAULT_CONTINUATION_STEPS, signs=None
                      ) -> ContinuationResult:
-    """Walk the branch of a set from beta = 0 to beta_target.
+    """Walk the branch of a set from beta = 0 to params.beta.
 
     Natural-parameter continuation in uniform beta steps, each Newton solve
-    warm-started from the previous state; the last step is beta_target
-    itself, so path[-1][0] == state.params.beta == beta_target.  The
-    zero-hopping certificate is computed up front and a resonant set is
-    refused before any stepping, with a ResonanceError and an empty path.
-    A failed step raises SolverError carrying the path walked so far.
+    warm-started from the previous state; the last step is params.beta
+    itself, so path[-1][0] == state.params.beta == params.beta.  The start
+    is `build_state`'s state on the beta = 0 model, and its zero-hopping
+    certificate is computed up front: a resonant set is refused before any
+    stepping, with a ResonanceError and an empty path.  A failed step
+    raises SolverError carrying the path walked so far.
     """
-    beta_target = check_real(beta_target, "beta_target", at_least=0)
     steps = check_int(steps, "steps", 1, MAX_CONTINUATION_STEPS)
-    base_params = replace(params, beta=0.0)
-    state = build_state(sset, base_params, signs=signs)
+    state = build_state(sset, params, signs=signs)
     _, certificate = jacobian_diagonal_t0(state)
     c, mu = state.coefficients, state.mu
-    path = [(0.0, float(np.max(np.abs(base_params.residual(c, mu)))), 0)]
-    if beta_target == 0.0:
+    path = [(0.0, float(np.max(np.abs(state.params.residual(c, mu)))), 0)]
+    if params.beta == 0.0:
         return ContinuationResult(state=state, path=path, certificate=certificate)
-    betas = [beta_target * k / steps for k in range(1, steps)] + [beta_target]
+    betas = [params.beta * k / steps for k in range(1, steps)] + [params.beta]
     for beta_k in betas:
         step_params = replace(params, beta=beta_k)
         try:

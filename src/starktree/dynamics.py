@@ -307,8 +307,8 @@ def evolve(initial, params: LatticeParams, t_end, dt: float = DEFAULT_DT
     c0 = np.asarray(initial, dtype=complex)
     if c0.shape != (params.window_size,):
         raise ConfigurationError(
-            f"initial vector has {c0.size} entries, window holds "
-            f"{params.window_size}"
+            f"initial vector has shape {c0.shape}, window holds "
+            f"{params.window_size} sites"
         )
     # written so that a NaN coefficient fails the check too
     if not abs(np.sum(np.abs(c0) ** 2) - 1.0) <= 1e-8:

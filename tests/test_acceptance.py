@@ -218,7 +218,8 @@ def test_criterion_6_continuation_soundness():
             if cert < 10.0 * beta_prime:
                 continue
             beta_target = beta_prime * base.mu
-            result = continue_in_beta(sset, params, beta_target, steps=10)
+            result = continue_in_beta(sset, replace(params, beta=beta_target),
+                                      steps=10)
             assert result.certificate > 0
             assert all(res < 1e-12 for _, res, _ in result.path)
             assert np.max(np.abs(dnls_residual(result.state))) < 1e-12

@@ -55,7 +55,8 @@ def brute_force_sets(x, site_max=None):
 def test_solution_set_sorts_and_validates():
     s = SolutionSet((3, 0, 1))
     assert s.sites == (0, 1, 3)
-    assert s.cardinality == 3
+    assert len(s) == 3
+    assert not hasattr(s, "cardinality")  # len(s) is the set's size
     assert s.sites[0] == 0
     assert SolutionSet((2, 5)).sites[0] != 0
     assert [type(site) for site in SolutionSet((np.int64(2), 0)).sites] == [
@@ -146,7 +147,7 @@ def test_complementary_set_is_involution_and_translation_invariant():
         s = SolutionSet(sites)
         comp = complementary_set(s)
         assert 0 in comp
-        assert comp.cardinality == s.cardinality
+        assert len(comp) == len(s)
         if s.sites[0] == 0:
             assert complementary_set(comp) == s
         moved = SolutionSet(tuple(site + 7 for site in sites))
@@ -462,7 +463,7 @@ def test_tree_samples_strictly_above_birth_and_exact_energies():
     for branch in tree.branches:
         assert branch.birth == birth_threshold(branch.set)
         assert np.all(branch.xs > branch.birth)
-        n = branch.set.cardinality
+        n = len(branch.set)
         expected = branch.xs / n + sum(branch.set.sites) / n
         assert np.array_equal(branch.mu_over_f, expected)
 
@@ -474,7 +475,7 @@ def test_tree_energies_per_threshold_block_are_exact(samples):
     assert len(tree.blocks) == len(tree.curves) == 20
     rows = tree.rows
     # one row per distinct (N, sum S) in the whole tree
-    keys = {(b.set.cardinality, sum(b.set.sites)) for b in tree.branches}
+    keys = {(len(b.set), sum(b.set.sites)) for b in tree.branches}
     assert len(rows) == len(keys)
     start = offset = 0
     for n, (block, curve) in enumerate(zip(tree.blocks, tree.curves)):
@@ -488,7 +489,7 @@ def test_tree_energies_per_threshold_block_are_exact(samples):
         offset += len(block)
         for branch, row in zip(born, curve):
             assert branch.birth == n
-            m = branch.set.cardinality
+            m = len(branch.set)
             expected = branch.xs / m + sum(branch.set.sites) / m
             assert np.array_equal(branch.mu_over_f, expected)
             # the suffix of the curve's row from the branch's first point;
@@ -522,7 +523,7 @@ def test_branches_on_one_curve_share_one_block_row(x_min, x_max, samples,
         views = {}
         for b, row in zip(tree.branches[start:start + len(curve)],
                           curve.tolist()):
-            n, total = key = (b.set.cardinality, sum(b.set.sites))
+            n, total = key = (len(b.set), sum(b.set.sites))
             assert keys.setdefault(key, row) == row
             assert b.mu_over_f.tobytes() == (b.xs / n + total / n).tobytes()
             assert np.shares_memory(b.mu_over_f, rows[row])
@@ -570,7 +571,7 @@ def test_tree_ladder_energies_densify():
         values = set()
         for b in tree.branches:
             if x > b.birth:
-                n = b.set.cardinality
+                n = len(b.set)
                 values.add(round((x / n + sum(b.set.sites) / n) % 1.0, 9))
         return len(values)
 

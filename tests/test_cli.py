@@ -681,7 +681,7 @@ def test_continue_all_minus_signs_as_numbers(tmp_path):
     assert payload["signs"] == [-1, -1]
     sset = SolutionSet((0, 1))
     params = LatticeParams.for_set(sset, nu=4.5, f=1.0, beta=0.02)
-    state = continue_in_beta(sset, params, 0.02, signs=(-1, -1)).state
+    state = continue_in_beta(sset, params, signs=(-1, -1)).state
     assert payload["mu"] == state.mu
     assert list(payload["coefficients"].values()) == state.coefficients.tolist()
 
@@ -922,6 +922,40 @@ def test_evolve_site_defaults_per_mode_and_is_overridden(tmp_path, mode,
                     "--out", str(out)]) == 0
         companion = json.loads((tmp_path / "evolve.json").read_text())
         assert companion["site"] == site
+
+
+# (mode, its window); a continued --set runs its continuation first, and
+# one that fails exits 4 before the site is looked at
+@pytest.mark.parametrize("mode, window", [
+    (["--initial", "{state}"], (-3, 5)),
+    (["--set", "0,1", "--x", "1.5"], (-5, 6)),
+    (["--set", "0,1", "--x", "1.5", "--beta", "0.01"], (-5, 6)),
+    (["--x", "1.5", "--j", "2"], (-4, 8)),
+    (["--x", "1.5", "--beta", "0.01"], (-6, 6)),
+    (["--set", "0", "--x", "1.0", "--beta", "0.01"], None),
+], ids=["initial", "set", "set_continued", "beating", "beating_hopping",
+        "set_resonant"])
+def test_evolve_site_outside_window_is_refused_before_integrating(
+        tmp_path, capsys, monkeypatch, mode, window):
+    def must_not_integrate(*args, **kwargs):
+        raise AssertionError("integrated before --site was checked")
+
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({
+        "nu": 1.5, "f": 1.0, "beta": 0.0, "window": [-3, 5],
+        "coefficients": {"0": 0.6, "2": 0.8},
+    }))
+    mode = [a.replace("{state}", str(state_path)) for a in mode]
+    monkeypatch.setattr(cli.dynamics, "evolve", must_not_integrate)
+    monkeypatch.setattr(cli.dynamics, "beating_trace", must_not_integrate)
+    code = run(["evolve", *mode, "--site", "99"])
+    err = capsys.readouterr().err
+    if window is None:
+        assert code == 4
+        assert err.splitlines()[-1].startswith("error: mu/f = ")
+    else:
+        assert code == 2
+        assert err == f"error: site 99 outside window {window}\n"
 
 
 # (mode, whether its companion predicts beats): only the set-less beating

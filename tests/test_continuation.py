@@ -54,11 +54,29 @@ def test_residual_hand_computed_for_hopped_singleton():
 
 
 def test_residual_translation_covariance():
+    # the beta = 0.07 residuals of a zero-hopping state and of its copy two
+    # rungs down, each read on its own window at that hopping
     p = LatticeParams(nu=1.5, f=1.0, beta=0.07, window=(-7, 8))
-    st = build_state(S01, p)
-    r = dnls_residual(st)
+    r = dnls_residual(replace(build_state(S01, p), params=p))
+    assert np.max(np.abs(r)) > 0.01
     shifted = build_state(SolutionSet((2, 3)), p.shifted(2))
-    np.testing.assert_allclose(dnls_residual(shifted), r, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(
+        dnls_residual(replace(shifted, params=p.shifted(2))), r,
+        rtol=0.0, atol=1e-14)
+
+
+def test_each_state_is_stationary_in_its_own_params():
+    # a state's params are the model it solves: build_state's the beta = 0
+    # model whatever beta it is given, newton_solve's and continue_in_beta's
+    # the model at their beta
+    p = params_for(S01, 1.5, beta=0.07)
+    built = build_state(S01, p)
+    continued = continue_in_beta(S01, p).state
+    assert built.params == replace(p, beta=0.0)
+    assert continued.params == p
+    for state in (built, newton_solve(built, 0.01), continued):
+        assert np.max(np.abs(state.params.residual(state.coefficients,
+                                                   state.mu))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +155,7 @@ def test_t0_refuses_a_ratio_beyond_double_precision(x):
 
 def test_t0_requires_exact_support():
     # a continued state has no exact support (set None) to certify
-    st = continue_in_beta(S0, params_for(S0, 2.5), 0.01, steps=1).state
+    st = continue_in_beta(S0, params_for(S0, 2.5, beta=0.01), steps=1).state
     assert st.set is None
     with pytest.raises(ConfigurationError, match="exact support"):
         jacobian_diagonal_t0(st)
@@ -294,10 +312,10 @@ def test_newton_singular_jacobian_raises():
 
 
 def test_newton_divergence_keeps_only_the_start_of_the_path():
-    p = LatticeParams.for_set(S01, nu=1.5, f=1.0)
+    p = LatticeParams.for_set(S01, nu=1.5, f=1.0, beta=1e307)
     with pytest.raises(SolverError,
                        match=r"^Newton diverged at beta = 1e\+307$") as err:
-        continue_in_beta(S01, p, 1e307, steps=1)
+        continue_in_beta(S01, p, steps=1)
     assert len(err.value.path) == 1
     assert err.value.path[0][0] == 0.0
 
@@ -308,7 +326,7 @@ def test_newton_divergence_keeps_only_the_start_of_the_path():
 
 def test_continuation_zero_target_is_build_state():
     p = params_for(S01, 1.5)
-    result = continue_in_beta(S01, p, 0.0)
+    result = continue_in_beta(S01, p)
     reference = build_state(S01, p)
     assert np.array_equal(result.state.coefficients, reference.coefficients)
     assert result.state.mu == reference.mu
@@ -319,7 +337,7 @@ def test_continuation_round_trip():
     p = params_for(S01, 1.5)
     mu_s = energy_of_set(S01, p.nu, p.f)
     beta_target = 0.02 * mu_s
-    result = continue_in_beta(S01, p, beta_target, steps=10)
+    result = continue_in_beta(S01, replace(p, beta=beta_target), steps=10)
     assert result.certificate > 0
     assert all(res < 1e-12 for _, res, _ in result.path)
     state = result.state
@@ -335,7 +353,8 @@ def test_continuation_deviation_linear_in_beta():
     base = build_state(S0, p)
     deviations = []
     for beta_prime in (0.01, 0.005, 0.0025):
-        result = continue_in_beta(S0, p, beta_prime * base.mu, steps=5)
+        result = continue_in_beta(S0, replace(p, beta=beta_prime * base.mu),
+                                  steps=5)
         deviations.append(float(np.max(np.abs(
             result.state.coefficients - base.coefficients))))
     assert 1.8 < deviations[0] / deviations[1] < 2.2
@@ -343,12 +362,12 @@ def test_continuation_deviation_linear_in_beta():
 
 
 def test_continuation_mu_continuous_along_path():
-    p = params_for(SolutionSet((0, 1, 2)), 4.0)
     beta_target = 0.03
+    p = params_for(SolutionSet((0, 1, 2)), 4.0, beta=beta_target)
     steps = 12
     mus = [build_state(SolutionSet((0, 1, 2)), p).mu]
     state = None
-    result = continue_in_beta(SolutionSet((0, 1, 2)), p, beta_target, steps=steps)
+    result = continue_in_beta(SolutionSet((0, 1, 2)), p, steps=steps)
     # reconstruct per-step energies by re-walking with the public API
     state = build_state(SolutionSet((0, 1, 2)), replace(p, beta=0.0))
     for k in range(1, steps + 1):
@@ -364,26 +383,26 @@ def test_continuation_translation_covariance_at_finite_hopping():
     x, beta = 2.5, 0.04
     s = SolutionSet((0, 2))
     shifted = SolutionSet((3, 5))
-    p = LatticeParams.for_set(s, nu=x, f=1.0)
+    p = LatticeParams.for_set(s, nu=x, f=1.0, beta=beta)
     p_shifted = p.shifted(3)
-    res = continue_in_beta(s, p, beta, steps=8)
-    res_shifted = continue_in_beta(shifted, p_shifted, beta, steps=8)
+    res = continue_in_beta(s, p, steps=8)
+    res_shifted = continue_in_beta(shifted, p_shifted, steps=8)
     assert np.max(np.abs(res_shifted.state.coefficients
                          - res.state.coefficients)) < 1e-10
     assert res_shifted.state.mu == pytest.approx(res.state.mu + 3.0, abs=1e-10)
 
 
 def test_continuation_refuses_resonant_set():
-    p = params_for(S0, 1.0)
+    p = params_for(S0, 1.0, beta=0.01)
     with pytest.raises(ResonanceError) as err:
-        continue_in_beta(S0, p, 0.01)
+        continue_in_beta(S0, p)
     assert err.value.path == []
 
 
 # beta * steps / steps is not beta for any of these pairs
 @pytest.mark.parametrize("beta, steps", [(0.1, 3), (0.02, 29), (0.013, 5)])
 def test_continuation_lands_on_its_target(beta, steps):
-    result = continue_in_beta(S01, params_for(S01, 4.5), beta, steps=steps)
+    result = continue_in_beta(S01, params_for(S01, 4.5, beta=beta), steps=steps)
     assert len(result.path) == steps + 1
     assert result.path[-1][0] == result.state.params.beta == beta
     assert [b for b, _, _ in result.path[1:-1]] == [beta * k / steps
@@ -398,19 +417,19 @@ def test_continuation_step_count_is_bounded(monkeypatch):
     monkeypatch.setattr(continuation, "_newton", newton_must_not_run)
     for steps in (continuation.MAX_CONTINUATION_STEPS + 1, 10 ** 9):
         with pytest.raises(DomainError, match="steps"):
-            continue_in_beta(S01, p, 0.01, steps=steps)
+            continue_in_beta(S01, replace(p, beta=0.01), steps=steps)
     monkeypatch.undo()
-    result = continue_in_beta(S01, p, 1e-6,
+    result = continue_in_beta(S01, replace(p, beta=1e-6),
                               steps=continuation.MAX_CONTINUATION_STEPS)
     assert len(result.path) == continuation.MAX_CONTINUATION_STEPS + 1
 
 
 def test_continuation_failure_carries_partial_path(monkeypatch):
     # a hopelessly large single step starves Newton of its basin
-    p = params_for(S0, 0.5)
+    p = params_for(S0, 0.5, beta=50.0)
     monkeypatch.setattr(continuation, "NEWTON_MAX_ITER", 6)
     with pytest.raises(SolverError) as err:
-        continue_in_beta(S0, p, 50.0, steps=2)
+        continue_in_beta(S0, p, steps=2)
     assert len(err.value.path) >= 1
     assert err.value.path[0][0] == 0.0
 
@@ -422,12 +441,12 @@ def test_continuation_certificate_positive_across_random_sets():
         x = float(rng.uniform(0.2, 6.0))
         sets = enumerate_solution_sets(x)
         s = sets[rng.integers(len(sets))]
-        mu_over_f = x / s.cardinality + sum(s.sites) / s.cardinality
+        mu_over_f = x / len(s) + sum(s.sites) / len(s)
         if any(abs(mu_over_f - site) < 1e-6
                for site in range(s.sites[0] - 5, s.sites[-1] + 6)
                if site not in s):
             continue
         p = params_for(s, x, f=1.3)
-        result = continue_in_beta(s, p, 0.0)
+        result = continue_in_beta(s, p)
         assert result.certificate > 0
         done += 1

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -164,8 +165,8 @@ def test_nonlinear_frequency_shift_on_home_site():
 
 def test_stationary_state_is_stationary_under_evolution():
     s = SolutionSet((0, 1))
-    p = LatticeParams.for_set(s, nu=1.5, f=1.0)
-    result = continue_in_beta(s, p, 0.02, steps=5)
+    p = LatticeParams.for_set(s, nu=1.5, f=1.0, beta=0.02)
+    result = continue_in_beta(s, p, steps=5)
     state = result.state
     trace = evolve(state.coefficients.astype(complex), state.params,
                    t_end=10.0 * BLOCH_PERIOD)
@@ -362,10 +363,13 @@ def test_evolve_validation():
     # a NaN coefficient is bad input, not an integration failure
     with pytest.raises(DomainError, match="normalized"):
         evolve(np.where(np.arange(good.size) == 3, np.nan, good), p, t_end=1.0)
-    with pytest.raises(ConfigurationError):
-        evolve(good[:-1], p, t_end=1.0)
-    with pytest.raises(ConfigurationError):
-        evolve(np.stack([good, good]), p, t_end=1.0)
+    # the refusal names the shape, which a (W, 1) column shares W with
+    w = p.window_size
+    for bad, shape in ((good[:-1], (w - 1,)), (np.stack([good, good]), (2, w)),
+                       (good[:, None], (w, 1))):
+        message = f"initial vector has shape {shape}, window holds {w} sites"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            evolve(bad, p, t_end=1.0)
 
 
 def test_evolve_matches_exact_zero_hopping_solution():
@@ -714,7 +718,7 @@ def test_pairwise_frequency_count_grows_with_ratio():
     def distinct_differences(x):
         energies = set()
         for s in enumerate_solution_sets(x):
-            n = s.cardinality
+            n = len(s)
             mu_over_f = x / n + sum(s.sites) / n
             for site in s.sites:
                 # translate so the tracked well is site 0

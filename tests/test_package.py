@@ -92,6 +92,10 @@ def matching_lines(pattern, files, excluded):
     # dnls_residual, which only renames it, is kept for library callers
     pytest.param("**/*.py", None, r"(?<!def )dnls_residual\(", 0,
                  id="no dnls_residual call in src"),
+    # build_state alone makes the beta = 0 model, which its state carries;
+    # continue_in_beta starts from that state and walks to params.beta
+    pytest.param("**/*.py", None, r"replace\(params, beta=0\.0\)", 1,
+                 id="one beta = 0 model"),
     # dense and band windows share the one time loop of
     # dynamics._split_steps; only a stage's linear map differs
     pytest.param("dynamics.py", None,

@@ -70,8 +70,6 @@ ENTRY_POINTS = {
     "jacobian_diagonal_t0.mu": (
         lambda v: jacobian_diagonal_t0(replace(STATE01, mu=v)), 0.0,
         STATE01.mu),
-    "continue_in_beta.beta_target": (lambda v: continue_in_beta(S01, P01, v),
-                                     below(0.0), 0.0),
     "newton_solve.beta": (lambda v: newton_solve(STATE01, v), below(0.0), 0.0),
     "beat_periods": (beat_periods, 1.0, 1.5),
     "beating_profile": (lambda v: beating_profile(v, None, 0.0), 1.0, 1.5),
@@ -115,7 +113,7 @@ P012 = LatticeParams.for_set(S012, nu=4.0, f=1.0)
 # name -> call with a pattern of three signs
 SIGN_ENTRY_POINTS = {
     "build_state": lambda signs: build_state(S012, P012, signs=signs),
-    "continue_in_beta": lambda signs: continue_in_beta(S012, P012, 0.0,
+    "continue_in_beta": lambda signs: continue_in_beta(S012, P012,
                                                        signs=signs),
     "beating_profile": lambda signs: beating_profile(1.5, signs, 0.0),
 }

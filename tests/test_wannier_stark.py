@@ -56,8 +56,8 @@ def test_bloch_oscillation_matches_wannier_stark(beta, window, m):
 def test_continued_singleton_is_the_wannier_stark_state(nu, beta):
     # c_l = J_l(2 beta/f) and mu = -2 beta in the linear limit; nu moves
     # the amplitudes by O(nu) and mu by nu sum J_l^4 + O(nu^2)
-    p = LatticeParams(nu=nu, f=1.0, beta=0.0, window=(-25, 25))
-    state = continue_in_beta(SolutionSet((0,)), p, beta, steps=20).state
+    p = LatticeParams(nu=nu, f=1.0, beta=beta, window=(-25, 25))
+    state = continue_in_beta(SolutionSet((0,)), p, steps=20).state
     linear = bessel_j(p.window_sites, 2.0 * beta / p.f)
     assert np.max(np.abs(state.coefficients - linear)) <= 2.0 * nu
     assert abs(state.mu - (-2.0 * beta + nu * np.sum(linear ** 4))) < 1e-12
