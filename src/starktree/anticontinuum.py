@@ -16,10 +16,13 @@ of `build_state` and the Newton continuation both evaluate.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from functools import cached_property, partial
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 
 import numpy as np
 
@@ -28,8 +31,8 @@ from .errors import (ConfigurationError, DomainError, InadmissibleSetError,
 from .partitions import (MAX_ENUMERATION, MAX_N, _q_table, counting_function,
                          enumerate_distinct_partitions)
 
-__all__ = ["BifurcationTree", "Branch", "LatticeParams", "SolutionSet",
-           "StationaryState", "admissible", "bifurcation_tree",
+__all__ = ["BifurcationTree", "Branch", "LatticeParams", "SetTable",
+           "SolutionSet", "StationaryState", "admissible", "bifurcation_tree",
            "birth_threshold", "build_state", "complementary_set",
            "consecutive_threshold", "energy_of_set", "enumerate_solution_sets"]
 
@@ -86,6 +89,51 @@ class SolutionSet(tuple):
 
     def __repr__(self):
         return f"SolutionSet(sites={tuple(self)!r})"
+
+
+class SetTable(Sequence):
+    """The canonical sets of one enumeration, in order, as int arrays, as
+    `enumerate_solution_sets` makes them.
+
+    `site_arrays[n]` holds the sets of birth threshold n: one read-only
+    (count, N) int64 array per cardinality N, in ascending N, whose rows
+    are the sets' ascending sites, each starting at 0, in lexicographic
+    order.  The table is a sequence of `SolutionSet`s in threshold, then
+    array, then row order; an entry read by index or by iteration is made
+    from its row then and not kept.
+    """
+
+    __slots__ = ("site_arrays", "_arrays", "_starts")
+
+    def __init__(self, site_arrays):
+        self.site_arrays = tuple(map(tuple, site_arrays))
+        self._arrays = list(chain.from_iterable(self.site_arrays))
+        # the index of each array's first set, then the total
+        self._starts = [0, *accumulate(map(len, self._arrays))]
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"set index {index} out of range for "
+                             f"{len(self)} sets")
+        k = bisect_right(self._starts, i) - 1
+        sites = self._arrays[k][i - self._starts[k]]
+        return SolutionSet._trusted([sites.tolist()])[0]
+
+    def __iter__(self):
+        for sites in self._arrays:
+            yield from SolutionSet._trusted(sites.tolist())
+
+    def __repr__(self):
+        return (f"SetTable({len(self)} sets over {len(self.site_arrays)} "
+                f"thresholds)")
 
 
 @dataclass(frozen=True)
@@ -214,8 +262,9 @@ class BifurcationTree:
     order of first appearance.  `blocks[n]` is the (curves, samples) array
     of mu/f of the curves first seen at threshold n, sampled from n's first
     grid point on (it may have no rows), and its rows follow those of the
-    blocks before.  `curves[n]` holds the tree-wide row of each set born
-    at n, in set order, and `rows[c]`, built on first read, is row c itself.
+    blocks before.  `sets.site_arrays[n]` holds the sites of the sets born
+    at n, `curves[n]` the tree-wide row of each of them, in set order, and
+    `rows[c]`, built on first read, is row c itself.
     `branches`, built on first read, gives each set's `mu_over_f` as the
     suffix of that row from its first grid point, one view shared by the
     branches of threshold n on the curve.  Every row is
@@ -223,7 +272,7 @@ class BifurcationTree:
     alone, so each suffix is bit for bit its branch's xs / N + sum(S) / N.
     """
 
-    sets: list[SolutionSet] = field(repr=False)
+    sets: SetTable = field(repr=False)
     x_grid: np.ndarray = field(repr=False)
     blocks: list[np.ndarray] = field(repr=False)
     curves: list[np.ndarray] = field(repr=False)
@@ -237,13 +286,15 @@ class BifurcationTree:
 
     @cached_property
     def branches(self) -> list[Branch]:
-        """One `Branch` per set, in set order, built on first read."""
+        """One `Branch` per set, in set order, built on first read, with
+        the `SolutionSet`s it makes from `sets`."""
         branches = []
+        born = iter(self.sets)
         for birth, (block, curve) in enumerate(zip(self.blocks, self.curves)):
             n = block.shape[1]  # the samples of each set born here, n >= 1
             views = {c: self.rows[c][-n:] for c in np.unique(curve).tolist()}
-            born = self.sets[len(branches):len(branches) + len(curve)]
-            branches.extend(map(Branch, born, repeat(birth), repeat(self.x_grid[-n:]),
+            branches.extend(map(Branch, islice(born, len(curve)), repeat(birth),
+                                repeat(self.x_grid[-n:]),
                                 map(views.__getitem__, curve.tolist())))
         return branches
 
@@ -331,7 +382,7 @@ def build_state(sset: SolutionSet, params: LatticeParams,
     return StationaryState(params=params, coefficients=coeff, mu=mu, set=sset)
 
 
-def enumerate_solution_sets(x) -> list[SolutionSet]:
+def enumerate_solution_sets(x) -> SetTable:
     """All canonical sets admissible at nu/f = x, singleton included.
 
     Each birth-threshold integer n < x contributes the zero-anchored
@@ -341,9 +392,9 @@ def enumerate_solution_sets(x) -> list[SolutionSet]:
     refused before any is built.
 
     Each threshold's partitions are bucketed by size, and each bucket is
-    one int array: reflected as a whole, ordered by one lexsort, turned
-    back into lists of ints by one `tolist` and wrapped, each row by
-    `tuple.__new__`, by one batch `SolutionSet._trusted`.
+    one int array, reflected as a whole and ordered by one lexsort: the
+    table's array of that threshold and cardinality.  No `SolutionSet` is
+    made until a caller reads one from the table.
     """
     x = check_real(x, "ratio", above=0)
     count = counting_function(x) + 1
@@ -352,11 +403,12 @@ def enumerate_solution_sets(x) -> list[SolutionSet]:
             f"ratio {x} admits {count} solution sets, above the enumeration "
             f"cap of {MAX_ENUMERATION}"
         )
-    out: list[SolutionSet] = []
+    site_arrays = []
     for n in range(math.ceil(x)):
         buckets = {}
         for parts in enumerate_distinct_partitions(n):
             buckets.setdefault(len(parts), []).append(parts)
+        site_arrays.append([])
         for size in sorted(buckets):
             bucket = buckets[size]
             rows = np.fromiter(chain.from_iterable(bucket), dtype=np.int64,
@@ -365,8 +417,9 @@ def enumerate_solution_sets(x) -> list[SolutionSet]:
             rows = rows[:, -1:] - rows[:, ::-1]
             # lexsort's last key is its first: column 0, then 1, ...
             rows = rows[np.lexsort(rows.T[::-1])]
-            out += SolutionSet._trusted(rows.tolist())
-    return out
+            rows.flags.writeable = False
+            site_arrays[-1].append(rows)
+    return SetTable(site_arrays)
 
 
 def _check_tree_size(n_samples: int, x_min: float, x_max: float):
@@ -394,7 +447,8 @@ def bifurcation_tree(x_min, x_max, samples: int = DEFAULT_TREE_SAMPLES
     of that suffix.  The q(n) branches born at threshold n share `xs`.
     Their energies are rows of the whole tree, one per distinct (N, sum S):
     `blocks[n]` holds those first seen at n, and `curves[n]` gives each
-    set's row; the tree's `branches` are built on first read.
+    set's row, keyed from the table's arrays with no `SolutionSet` made;
+    the tree's `branches` are built on first read.
     A tree of more than MAX_TREE_SAMPLES samples is refused before any set
     is enumerated.
     """
@@ -415,16 +469,24 @@ def bifurcation_tree(x_min, x_max, samples: int = DEFAULT_TREE_SAMPLES
     first = np.searchsorted(grid, np.arange(len(q)), side="right")
     _check_tree_size(sum(q_n * (grid.size - int(k)) for q_n, k in zip(q, first)),
                      x_min, x_max)
-    # the sets come in threshold order, q[n] of them born at threshold n
+    # the sets in threshold order: site_arrays[n] holds the q[n] born at n
     sets = enumerate_solution_sets(x_max)
     blocks, curves = [], []
     index = {}  # (N, sum S) -> its tree-wide row, in order of first appearance
-    born = iter(sets)
-    for q_n, k in zip(q, first.tolist()):
+    for birth, (arrays, k) in enumerate(zip(sets.site_arrays, first.tolist())):
         seen = len(index)
-        curves.append(np.array([
-            index.setdefault((len(sset), sum(sset)), len(index))
-            for sset in islice(born, q_n)]))
+        # a set born here has sum S = N max S - birth and max S <= birth, so
+        # here its (N, sum S) is fixed by the one int N (birth + 1) + max S
+        keys = np.concatenate([sites[:, -1] + sites.shape[1] * (birth + 1)
+                               for sites in arrays])
+        keys, where, inverse = np.unique(keys, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(where)  # the distinct keys by first appearance
+        widths, tops = np.divmod(keys[order], birth + 1)
+        rows = np.empty_like(order)
+        rows[order] = [index.setdefault(key, len(index)) for key in
+                       zip(widths.tolist(), (widths * tops - birth).tolist())]
+        curves.append(rows[inverse])
         # the (N, sum S) first seen here, as columns; there may be none
         n, sums = np.array(list(index)[seen:], dtype=float).reshape(-1, 2).T[..., None]
         # sum(S) and N are exact floats; the in-place add allocates once

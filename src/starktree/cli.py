@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -200,6 +200,15 @@ def cmd_count(args: argparse.Namespace) -> None:
         print(f"asymptotic F ~ {f_asymptotic(n):.6g} at n = {n}")
 
 
+def _site_tuples(tree):
+    """The sites of the tree's sets as tuples of ints, in set order, read
+    from `tree.sets.site_arrays` one array at a time: no `SolutionSet` is
+    made."""
+    return chain.from_iterable(map(tuple, sites.tolist())
+                               for arrays in tree.sets.site_arrays
+                               for sites in arrays)
+
+
 def _tree_csv(tree):
     """The tree CSV as chunks: the header, then one chunk per grid point and
     threshold whose branches are live there.
@@ -211,25 +220,27 @@ def _tree_csv(tree):
     formatted once into one list of mu texts, in tree-wide row order, and
     every branch on a curve, whatever its threshold, takes its text from
     there by `tree.curves`; each branch's text before and after mu is made
-    once, from `tree.sets`.
+    once, from its sites.
     """
     yield "x,branch_id,set,mu_over_f,n_modes,birth_x\n"
     # one int object per tree-wide row, shared by every threshold's getter
     ids = list(range(sum(map(len, tree.blocks))))
     # one label template per cardinality up to the last set's, the largest,
     # as a set of N sites is born at N(N-1)/2 or later
-    labels = ["+".join(["%d"] * n) for n in range(len(tree.sets[-1]) + 1)]
+    labels = ["+".join(["%d"] * n)
+              for n in range(tree.sets.site_arrays[-1][-1].shape[1] + 1)]
     # per threshold: its first grid index, its block's columns, the getter
     # of its branches' mu texts, and the text of its rows as four pieces
     # per branch, x, ",id,label,", mu and ",N,birth\n", x and mu filled in
     # at each grid point
     groups = []
-    branches = enumerate(tree.sets)
+    branches = enumerate(_site_tuples(tree))
     for birth, (block, curve) in enumerate(zip(tree.blocks, tree.curves)):
         tails = [f",{n},{birth}\n" for n in range(len(labels))]
         pieces = []
-        for i, sset in islice(branches, len(curve)):
-            pieces += ["", f",{i},{labels[len(sset)] % sset},", "", tails[len(sset)]]
+        for i, sites in islice(branches, len(curve)):
+            pieces += ["", f",{i},{labels[len(sites)] % sites},", "",
+                       tails[len(sites)]]
         rows = list(map(ids.__getitem__, curve.tolist()))
         # itemgetter of one index returns the item, not a 1-tuple
         pick = (itemgetter(*rows) if len(rows) > 1
@@ -262,7 +273,7 @@ def _tree_json(tree):
     yield ('{\n  "x_grid": [\n    ' + ",\n    ".join(x_reprs)
            + '\n  ],\n  "branches": [')
     heads = [f"\n        [\n          {x},\n          " for x in x_reprs]
-    branches = enumerate(tree.sets)
+    branches = enumerate(_site_tuples(tree))
     for birth, (block, curve) in enumerate(zip(tree.blocks, tree.curves)):
         n = block.shape[1]  # the samples of each set born here, n >= 1
         samples = {}  # tree-wide row -> its samples text

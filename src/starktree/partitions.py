@@ -107,6 +107,10 @@ def enumerate_distinct_partitions(n) -> list[tuple[int, ...]]:
         out.append(parts + (remaining,))
 
     extend((0,), n, 1)
+    # extend holds itself through its closure cell: without this the cycle
+    # would keep `out` alive, past the caller's last reference, until the
+    # cycle collector runs
+    del extend
     return out
 
 

@@ -366,6 +366,56 @@ def test_enumerated_sets_of_the_enum_slice_equal_validated_ones():
     assert keys == sorted(keys)
 
 
+def test_set_table_is_a_read_only_sequence_of_solution_sets():
+    sets = enumerate_solution_sets(12)
+    assert isinstance(sets, anticontinuum.SetTable)
+    listed = list(sets)
+    assert len(sets) == len(listed) == counting_function(12) + 1
+    assert all(type(s) is SolutionSet for s in listed)
+    # each entry is made again on each read, equal to the one listed
+    for i in (0, 7, len(sets) - 1, -1, -len(sets), np.int64(5), np.intp(-2)):
+        assert sets[i] == listed[i]
+        assert type(sets[i]) is SolutionSet
+    assert sets[3:9] == listed[3:9]
+    assert sets[::-5] == listed[::-5]
+    for i in (len(sets), -len(sets) - 1, np.int64(len(sets))):
+        with pytest.raises(IndexError):
+            sets[i]
+    with pytest.raises(TypeError):
+        sets[1.0]
+    assert listed.index(SolutionSet((0, 2, 4))) == sets.index((0, 2, 4))
+    assert (0, 1, 5) in sets and (0, 1, 12) not in sets
+    assert list(reversed(sets)) == listed[::-1]
+    with pytest.raises(TypeError):
+        sets[0] = SolutionSet((0,))
+
+
+@pytest.mark.parametrize("x", [0.5, 3.1, 12, 52])
+def test_set_table_arrays_hold_each_threshold_by_size(x):
+    # site_arrays[n]: one read-only (count, N) int64 array per cardinality
+    # N, in ascending N, of ascending rows from 0, in lexicographic order
+    sets = enumerate_solution_sets(x)
+    assert len(sets.site_arrays) == math.ceil(x)
+    listed = iter(sets)
+    for n, arrays in enumerate(sets.site_arrays):
+        widths = [array.shape[1] for array in arrays]
+        assert widths == sorted(set(widths))
+        assert sum(map(len, arrays)) == q_distinct(n)
+        for array in arrays:
+            assert array.dtype == np.int64 and array.ndim == 2
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+            rows = array.tolist()
+            assert rows == sorted(rows)
+            for row in rows:
+                assert row[0] == 0
+                assert all(a < b for a, b in zip(row, row[1:]))
+                assert birth_threshold(row) == n
+                assert next(listed).sites == tuple(row)
+    assert next(listed, None) is None
+
+
 def test_enumeration_calls_the_partitions_once_per_threshold(monkeypatch):
     # the benchmark's tracer wraps enumerate_distinct_partitions in the
     # anticontinuum namespace and counts its lists as `parts`, which must

@@ -281,13 +281,13 @@ def test_a_curve_first_seen_inside_the_range_is_reused_later():
 
 def test_tree_slice_memory_held_and_streamed():
     # the enum workload's 35,680-branch slice on 1,033 curves.  Measured on
-    # Python 3.11 and numpy 2.4, the tree holds 4.06 MB, its sets (one tuple
-    # object each), grid and curve arrays, and streaming its CSV peaks
-    # 4.55 MB above that.  With a second object per set, a dataclass around
-    # the tuple of its sites, it held 4.72 MB; with a `Branch` per branch
-    # built eagerly 6.8-8.5 MB, and 10.6-11.5 MB with one mu view per branch
-    # besides; a fresh int per tree-wide row id in the CSV getters peaks
-    # 5.28 MB above the tree: each breaks a bound.
+    # Python 3.11 and numpy 2.4, the tree holds 2.10 MB, its sets as int64
+    # site arrays, grid and curve arrays, and streaming its CSV peaks
+    # 4.56 MB above that.  With one `SolutionSet` tuple per set it held
+    # 4.06 MB, and 4.72 MB with a dataclass around each tuple besides; with
+    # a `Branch` per branch built eagerly 6.8-8.5 MB, and 10.6-11.5 MB with
+    # one mu view per branch besides; a fresh int per tree-wide row id in
+    # the CSV getters peaks 5.28 MB above the tree: each breaks a bound.
     bifurcation_tree(51.0, 52.0, samples=2)  # first-call allocations
     tracemalloc.start()
     try:
@@ -300,7 +300,7 @@ def test_tree_slice_memory_held_and_streamed():
     finally:
         tracemalloc.stop()
     assert len(tree.sets) == 35680
-    assert held < 4_400_000
+    assert held < 3_000_000
     assert peak - held < 5_000_000
 
 
@@ -326,8 +326,40 @@ def test_tree_cli_builds_no_branch_and_the_library_builds_them_once(
     assert "branches" not in vars(trees[0])
     monkeypatch.undo()
     branches = trees[0].branches
-    assert [b.set for b in branches] == trees[0].sets
+    assert [b.set for b in branches] == list(trees[0].sets)
     assert trees[0].branches is branches
+
+
+@pytest.mark.parametrize("x_min, x_max, samples",
+                         [("0", "12", "101"), ("51", "52", "2")])
+def test_tree_cli_makes_no_solution_set(monkeypatch, tmp_path, x_min, x_max,
+                                        samples):
+    # the writers read the sites from the tree's int arrays; a `SolutionSet`
+    # is made only when a library caller reads one from `tree.sets` or
+    # `tree.branches`
+    def solution_set_must_not_be_made(*args, **kwargs):
+        raise AssertionError("the tree CLI made a SolutionSet")
+
+    trees = []
+
+    def kept_tree(*args, **kwargs):
+        trees.append(bifurcation_tree(*args, **kwargs))
+        return trees[-1]
+
+    monkeypatch.setattr(SolutionSet, "__new__", solution_set_must_not_be_made)
+    monkeypatch.setattr(SolutionSet, "_trusted", solution_set_must_not_be_made)
+    monkeypatch.setattr(cli, "bifurcation_tree", kept_tree)
+    for fmt_name in ("csv", "json"):
+        assert run(["tree", "--x-min", x_min, "--x-max", x_max, "--samples",
+                    samples, "--format", fmt_name,
+                    "--out", str(tmp_path / f"tree.{fmt_name}")]) == 0
+    monkeypatch.undo()
+    tree = trees[0]
+    validated = [SolutionSet(sites) for arrays in tree.sets.site_arrays
+                 for array in arrays for sites in array.tolist()]
+    assert len(validated) == len(tree.sets)
+    assert list(tree.sets) == validated
+    assert [b.set for b in tree.branches] == validated
 
 
 def test_tree_is_written_in_chunks():

@@ -1,5 +1,8 @@
+import gc
 import itertools
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -162,6 +165,28 @@ def test_enumeration_of_exactly_the_cap_is_admitted(monkeypatch):
     assert len(enumerate_distinct_partitions(20)) == q_distinct(20)
     with pytest.raises(DomainError, match="cap"):
         enumerate_distinct_partitions(21)
+
+
+def test_a_dropped_partition_list_is_freed_without_the_cycle_collector():
+    # no reference cycle holds the list: its last reference going frees it
+    # and its 1,113 tuples (q(40)) at once, not when the cycle collector runs
+    enumerate_distinct_partitions(40)  # first-call allocations
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        out = enumerate_distinct_partitions(40)
+        references = sys.getrefcount(out)
+        held, _ = tracemalloc.get_traced_memory()
+        del out
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert references == 2  # `out` and getrefcount's own argument
+    assert left - baseline < (held - baseline) / 10
 
 
 # ---------------------------------------------------------------------------
